@@ -66,11 +66,10 @@ struct ExperimentResult {
 /// same results, bounded subgraph residency. A budget of 0 or >= p stays
 /// on the plain resident path (nothing to bound, so no spill I/O).
 ///
-/// Scheduling options pass straight through: options.scheduler selects
-/// the strict (bit-identical, default) or async (relaxed mailbox order)
-/// task-graph mode and options.prefetch controls double-buffered group
-/// loading under a binding budget — see bsp::RunOptions for the
-/// determinism contract each one carries.
+/// Scheduling options pass straight through: options.policy and
+/// options.num_threads size the task-graph team and options.prefetch
+/// controls double-buffered group loading under a binding budget — see
+/// bsp::RunOptions for the determinism contract each one carries.
 ExperimentResult run_experiment(const GraphView& graph,
                                 const std::string& partitioner_name,
                                 PartitionId num_parts, App app,

@@ -9,7 +9,7 @@
 // prefix included), and the accumulated RunStats — restoring them and
 // re-entering the superstep loop reproduces the uninterrupted run
 // BIT-IDENTICALLY (values, supersteps, message counts, virtual time) at
-// every resident_workers × prefetch × strict/async combination.
+// every resident_workers × prefetch × team-size combination.
 //
 // Durability protocol (docs/ARCHITECTURE.md, "Fault tolerance"):
 // serialise to a temp file named with process_unique_suffix(), fsync,

@@ -1,34 +1,23 @@
-// Destination inboxes for the BSP runtime's replica-synchronisation
+// Destination inbox for the BSP runtime's replica-synchronisation
 // messages (extracted from runtime.cpp when the task-graph scheduler
-// made them a shared component).
+// made it a shared component).
 //
-// SpillMailbox<T> is the single-owner mailbox: messages accumulate in
+// SpillMailbox<T> is a single-owner mailbox: messages accumulate in
 // append order; under a bounded residency budget the destination worker
 // may not be materialised until a later phase, so an inbox that
 // outgrows its in-memory cap flushes to an append-only spill file
 // (oldest prefix on disk, newest suffix in memory — drain() replays the
 // file first, preserving append order exactly). With no spill path
-// configured it is a plain vector.
-//
-// SharedMailbox<T> wraps one SpillMailbox for the two scheduler modes:
-//   push_serial()     — strict mode; the scheduler's ordering chains
-//                       guarantee exclusive access, so no locking.
-//   push_concurrent() — async mode; a bounded ring channel absorbs the
-//                       hot path (short critical section, no growth or
-//                       file I/O under the lock), and when the ring is
-//                       full the push falls back to the mutex-guarded
-//                       spill mailbox — that is the backpressure path.
-// drain() and buffer() are owner-only (the scheduler orders every
-// producer before the consumer). Async drains see ring entries before
-// overflow entries, so the global append order is NOT preserved — which
-// is exactly the reordering the async mode's contract permits.
+// configured it is a plain vector. It takes no lock: the runtime's
+// ordering chains give every push, drain and buffer() rewrite exclusive
+// access (docs/ARCHITECTURE.md, "The task-graph superstep scheduler").
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <limits>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -36,9 +25,6 @@
 #include <vector>
 
 #include "common/failpoint.h"
-#include "common/sync.h"
-#include "common/task_graph.h"
-#include "common/thread_annotations.h"
 #include "obs/trace.h"
 
 namespace ebv::bsp {
@@ -166,77 +152,6 @@ class SpillMailbox {
   std::uint64_t spilled_ = 0;
   bool created_ = false;
   std::ofstream out_;
-};
-
-template <typename T>
-class SharedMailbox {
- public:
-  void configure(std::string path, std::uint64_t cap) {
-    box_.configure(std::move(path), cap);
-  }
-
-  /// Arms the concurrent push path (async scheduler). Without it,
-  /// push_concurrent degrades to lock + spill-mailbox push.
-  void enable_channel(std::size_t capacity) { channel_.emplace(capacity); }
-
-  /// Exclusive-producer push: the caller must be the only producer at
-  /// this moment — the strict scheduler's ordering chains substitute
-  /// for mu_, and per-message locking on this hot path is exactly what
-  /// the strict mode is designed to avoid, so the analysis is opted out
-  /// rather than the lock taken.
-  void push_serial(const T& msg) EBV_NO_THREAD_SAFETY_ANALYSIS {
-    box_.push(msg);
-  }
-
-  /// Any-producer push: ring first; mutex-guarded spill overflow when
-  /// the ring is full. Never blocks on channel state (a blocked task
-  /// would occupy a finite-pool executor).
-  void push_concurrent(const T& msg) EBV_EXCLUDES(mu_) {
-    if (channel_.has_value() && channel_->try_push(msg)) return;
-    MutexLock lock(mu_);
-    box_.push(msg);
-  }
-
-  /// Owner-only: combining's in-place rewrite window (strict mode).
-  /// Lock-free like push_serial — the returned reference is used across
-  /// a whole superstep under the scheduler's exclusive-owner ordering,
-  /// which no lock scope could express.
-  [[nodiscard]] std::vector<T>& buffer() EBV_NO_THREAD_SAFETY_ANALYSIS {
-    return box_.buffer();
-  }
-
-  /// Owner-only: every producer must be ordered before the caller.
-  /// Cold bulk path, so it simply takes mu_ (uncontended by contract).
-  template <typename Fn>
-  void drain(Fn&& fn) EBV_EXCLUDES(mu_) {
-    if (channel_.has_value()) {
-      T msg;
-      while (channel_->try_pop(msg)) fn(msg);
-    }
-    MutexLock lock(mu_);
-    box_.drain(fn);
-  }
-
-  /// Owner-only non-consuming peek (checkpoint serialisation). Ring
-  /// entries are folded into the spill mailbox first so they are both
-  /// visited and retained; within-mailbox order may differ from a
-  /// subsequent drain under async, which its contract permits.
-  template <typename Fn>
-  void for_each(Fn&& fn) EBV_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    if (channel_.has_value()) {
-      T msg;
-      while (channel_->try_pop(msg)) box_.push(msg);
-    }
-    box_.for_each(fn);
-  }
-
- private:
-  std::optional<BoundedChannel<T>> channel_;
-  Mutex mu_;
-  /// Guarded on the concurrent paths; push_serial/buffer document their
-  /// scheduler-ordered exemption above.
-  SpillMailbox<T> box_ EBV_GUARDED_BY(mu_);
 };
 
 }  // namespace ebv::bsp

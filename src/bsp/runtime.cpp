@@ -24,7 +24,7 @@
 namespace ebv::bsp {
 namespace {
 
-using MsgBox = SharedMailbox<WireMessage>;
+using MsgBox = SpillMailbox<WireMessage>;
 
 /// Relaxed add for the phase-wall accumulators (tasks of the same phase
 /// run concurrently under kParallel).
@@ -71,11 +71,6 @@ class PhaseTimer {
   std::chrono::steady_clock::time_point begin_{};
 };
 
-/// Ring capacity of the async push path's bounded channel; a push that
-/// finds the ring full falls back to the mutex-guarded spill mailbox
-/// (the backpressure path). Strict mode never arms the channel.
-constexpr std::size_t kChannelCapacity = 1024;
-
 [[noreturn]] void fail_nan(const SubgraphProgram& program, VertexId gv,
                            std::uint32_t step) {
   throw std::runtime_error(
@@ -99,11 +94,6 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
   const PartitionId p = graph.num_workers();
   EBV_REQUIRE(p >= 1, "need at least one worker");
   options_.cost_model.validate();
-  const bool async = options_.scheduler == SchedulerMode::kAsync;
-  EBV_REQUIRE(!(async && options_.combine_messages),
-              "the async scheduler cannot combine messages: combining "
-              "decisions depend on mailbox arrival order, which async "
-              "execution leaves unordered");
   const ClusterCostModel& cost = options_.cost_model;
 
   // --- Residency plan ---------------------------------------------------
@@ -119,8 +109,8 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
   const bool with_loads = spilled && bounded;
   // Prefetch shrinks the residency groups to ⌊k/2⌋ so the loader task
   // for group g+1 can run while group g computes, current + next group
-  // together still inside the budget. Legal because strict results are
-  // pinned bit-identical for every budget, hence for every grouping.
+  // together still inside the budget. Legal because results are pinned
+  // bit-identical for every budget, hence for every grouping.
   const bool prefetch = options_.prefetch && with_loads && k >= 2;
   const PartitionId group_size =
       bounded ? (prefetch ? std::max<PartitionId>(1, k / 2) : k) : p;
@@ -191,30 +181,21 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
   };
 
   // --- Communication topology ------------------------------------------
-  // senders_of[m] — workers that route mirror accumulators to master m;
-  // masters_of[i] — masters that broadcast into worker i. Both ascending.
-  // Derived once from the routing tables; these ARE the scheduler's
-  // cross-worker dependencies (the strict chains need only the maxima,
-  // the async mode the full peer sets).
-  std::vector<std::vector<PartitionId>> senders_of(p);
-  std::vector<std::vector<PartitionId>> masters_of(p);
-  {
-    std::vector<std::uint8_t> routes(static_cast<std::size_t>(p) * p, 0);
-    for (VertexId gv = 0; gv < graph.num_global_vertices(); ++gv) {
-      const auto parts = graph.parts_of(gv);
-      if (parts.size() < 2) continue;
-      const PartitionId m = graph.master_of(gv);
-      for (const PartitionId i : parts) {
-        if (i != m) routes[static_cast<std::size_t>(i) * p + m] = 1;
-      }
-    }
-    for (PartitionId i = 0; i < p; ++i) {
-      for (PartitionId m = 0; m < p; ++m) {
-        if (routes[static_cast<std::size_t>(i) * p + m] != 0) {
-          senders_of[m].push_back(i);
-          masters_of[i].push_back(m);
-        }
-      }
+  // last_sender[m] — the highest worker that routes mirror accumulators
+  // to master m, or m itself; last_master[i] — the highest master that
+  // broadcasts into worker i, or i itself. Derived once from the routing
+  // tables; these ARE the scheduler's cross-worker dependencies, because
+  // the route and broadcast chains run in ascending worker order.
+  std::vector<PartitionId> last_sender(p);
+  std::vector<PartitionId> last_master(p);
+  for (PartitionId i = 0; i < p; ++i) last_sender[i] = last_master[i] = i;
+  for (VertexId gv = 0; gv < graph.num_global_vertices(); ++gv) {
+    const auto parts = graph.parts_of(gv);
+    if (parts.size() < 2) continue;
+    const PartitionId m = graph.master_of(gv);
+    for (const PartitionId i : parts) {
+      last_sender[m] = std::max(last_sender[m], i);
+      last_master[i] = std::max(last_master[i], m);
     }
   }
 
@@ -247,8 +228,7 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
   // worker j. File overflow engages only under a bounded budget with a
   // spill directory; combining keeps the to-master boxes in memory
   // (their pending messages must stay rewritable, and combining itself
-  // bounds them at one entry per replicated vertex). The async mode arms
-  // the bounded ring channel as the concurrent push path.
+  // bounds them at one entry per replicated vertex).
   std::vector<MsgBox> to_master(p);
   std::vector<MsgBox> to_mirror(p);
   if (bounded && !options_.spill_dir.empty()) {
@@ -263,12 +243,6 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
                              options_.mailbox_buffer_messages);
     }
   }
-  if (async) {
-    for (PartitionId j = 0; j < p; ++j) {
-      to_master[j].enable_channel(kChannelCapacity);
-      to_mirror[j].enable_channel(kChannelCapacity);
-    }
-  }
   // Combining state: pending[j] maps a global vertex to its message's
   // index in to_master[j]'s buffer for the current superstep.
   std::vector<std::unordered_map<VertexId, std::size_t>> pending(
@@ -276,8 +250,8 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
 
   // Program-defined per-worker scratch, persistent across supersteps.
   std::vector<std::any> worker_state(p);
-  // Staged master broadcasts: filled by merge(m), shipped by the strict
-  // broadcast chain (async ships inline and leaves these empty).
+  // Staged master broadcasts: filled by merge(m), shipped by the
+  // broadcast chain.
   std::vector<std::vector<WireMessage>> bcast(p);
 
   RunStats stats;
@@ -363,10 +337,10 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
         last_sync[i] = std::move(ck->last_sync[i]);
         updated[i] = std::move(ck->updated[i]);
         for (const WireMessage& msg : ck->to_master[i]) {
-          to_master[i].push_serial(msg);
+          to_master[i].push(msg);
         }
         for (const WireMessage& msg : ck->to_mirror[i]) {
-          to_mirror[i].push_serial(msg);
+          to_mirror[i].push(msg);
         }
       }
       if (start_step > 0) {
@@ -404,20 +378,19 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
       release_slot = &phase_accum.release;
     }
     std::vector<WorkerStepStats> step_stats(p);
-    // Per-sender counters, reduced after the graph drains. All are
-    // owner-indexed plain arrays ordered by task dependencies — except
-    // received, the one destination-indexed counter, which the async
-    // mode's concurrent routers bump atomically.
+    // Message counters, reduced after the graph drains. Plain arrays:
+    // every send happens on the route-then-broadcast chain, which orders
+    // all their writes.
     std::vector<std::uint64_t> msgs_local(p, 0);
     std::vector<std::uint64_t> msgs_remote(p, 0);
     std::vector<std::uint64_t> sent(p, 0);
     std::vector<std::uint64_t> raw(p, 0);
-    std::vector<std::atomic<std::uint64_t>> received(p);
+    std::vector<std::uint64_t> received(p, 0);
     std::vector<std::uint8_t> changed(p, 0);
 
     auto count_send = [&](PartitionId from, PartitionId to) {
       ++sent[from];
-      received[to].fetch_add(1, std::memory_order_relaxed);
+      ++received[to];
       if (cost.same_node(from, to)) {
         ++msgs_local[from];
       } else {
@@ -459,10 +432,9 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
       // Master replicas keep has_acc set; consumed by merge(i).
     };
 
-    // route(i): ship mirror accumulators to their master parts. Strict
-    // mode runs these on an ascending ordering chain so every to-master
-    // mailbox sees the historical append order; async folds the routing
-    // into compute(i) and pushes through the concurrent path.
+    // route(i): ship mirror accumulators to their master parts. These
+    // run on an ascending ordering chain so every to-master mailbox sees
+    // the historical append order.
     auto route_worker = [&](PartitionId i) {
       const obs::trace::Span span("route", i);
       const PhaseTimer phase(options_.phase_stats ? &phase_accum.route
@@ -485,11 +457,7 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
           }
         }
         if (enqueue) {
-          if (async) {
-            to_master[m].push_concurrent({gv, acc[i][lv]});
-          } else {
-            to_master[m].push_serial({gv, acc[i][lv]});
-          }
+          to_master[m].push({gv, acc[i][lv]});
           count_send(i, m);
         }
         has_acc[i][lv] = 0;
@@ -497,8 +465,8 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
     };
 
     // broadcast(m): ship the values staged by merge(m) to every mirror
-    // peer. Strict mode runs these on their own ascending chain, gated
-    // behind the route chain so the two never interleave counter writes.
+    // peer. These run on their own ascending chain, gated behind the
+    // route chain so the two never interleave counter writes.
     auto broadcast_worker = [&](PartitionId m) {
       const obs::trace::Span span("broadcast", m);
       const PhaseTimer phase(options_.phase_stats ? &phase_accum.broadcast
@@ -507,11 +475,7 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
         for (const PartitionId peer : graph.parts_of(msg.global)) {
           if (peer == m) continue;
           ++raw[m];
-          if (async) {
-            to_mirror[peer].push_concurrent(msg);
-          } else {
-            to_mirror[peer].push_serial(msg);
-          }
+          to_mirror[peer].push(msg);
           count_send(m, peer);
         }
       }
@@ -561,7 +525,6 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
         bcast[m].push_back({ls.global_ids[lv], next});
       }
       emitted[m].clear();
-      if (async) broadcast_worker(m);
     };
 
     // install(i): mirrors adopt broadcast values.
@@ -603,9 +566,7 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
     const std::size_t overlap = prefetch ? 2 : 1;
     TaskGraph tg;
     constexpr TaskGraph::TaskId kNone = TaskGraph::kNone;
-    std::vector<TaskGraph::TaskId> C(p), M(p), I(p);
-    std::vector<TaskGraph::TaskId> R(async ? 0 : p);
-    std::vector<TaskGraph::TaskId> B(async ? 0 : p);
+    std::vector<TaskGraph::TaskId> C(p), R(p), M(p), B(p), I(p);
     std::vector<TaskGraph::TaskId> L1(ng, kNone), Rel1(ng, kNone);
     std::vector<TaskGraph::TaskId> L2(ng, kNone), Rel2(ng, kNone);
     std::vector<TaskGraph::TaskId> L3(ng, kNone), Rel3(ng, kNone);
@@ -622,29 +583,22 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
              g >= overlap ? Rel1[g - overlap] : kNone});
       }
       for (PartitionId i = grp.first; i < grp.last; ++i) {
-        C[i] = tg.add(
-            [&, i] {
-              compute_worker(i);
-              if (async) route_worker(i);
-            },
-            {L1[g]});
-        if (!async) {
-          R[i] = tg.add([&, i] { route_worker(i); }, {C[i], prev_r});
-          prev_r = R[i];
-        }
+        C[i] = tg.add([&, i] { compute_worker(i); }, {L1[g]});
+        R[i] = tg.add([&, i] { route_worker(i); }, {C[i], prev_r});
+        prev_r = R[i];
       }
       if (with_loads) {
         Rel1[g] = tg.add([&, grp] { release(grp.first, grp.last); },
                          {prev_rel});
         for (PartitionId i = grp.first; i < grp.last; ++i) {
-          tg.depend(Rel1[g], async ? C[i] : R[i]);
+          tg.depend(Rel1[g], R[i]);
         }
         prev_rel = Rel1[g];
       }
     }
 
-    // Phase 2: load → merge (+ async broadcast) → release; strict
-    // broadcast chain gated behind the full route chain. Each load
+    // Phase 2: load → merge → release; the broadcast chain is gated
+    // behind the full route chain. Each load
     // carries an explicit release-before-reload edge on its own group's
     // phase-1 release (also implied by the chain — kept direct so the
     // correctness invariant survives future overlap changes).
@@ -657,18 +611,10 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
              g >= overlap ? Rel2[g - overlap] : Rel1[ng - overlap + g]});
       }
       for (PartitionId m = grp.first; m < grp.last; ++m) {
-        M[m] = tg.add([&, m] { merge_worker(m); }, {L2[g]});
-        if (async) {
-          tg.depend(M[m], C[m]);
-          for (const PartitionId s : senders_of[m]) tg.depend(M[m], C[s]);
-        } else {
-          // Senders never exceed max(m, last sender), and the route
-          // chain is ascending, so one dependency covers them all (plus
-          // compute(m)'s own state, via R(m) ⊆ the chain).
-          tg.depend(M[m], senders_of[m].empty()
-                              ? R[m]
-                              : R[std::max(m, senders_of[m].back())]);
-        }
+        // The route chain is ascending, so one dependency covers every
+        // sender (plus compute(m)'s own state, via R(m) ⊆ the chain).
+        M[m] = tg.add([&, m] { merge_worker(m); },
+                      {L2[g], R[last_sender[m]]});
       }
       if (with_loads) {
         Rel2[g] = tg.add([&, grp] { release(grp.first, grp.last); },
@@ -679,15 +625,13 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
         prev_rel = Rel2[g];
       }
     }
-    if (!async) {
-      // broadcast(m) reads only bcast[m] and graph-level routing tables,
-      // so it needs no residency; B(0) waits for the whole route chain
-      // so the two serial chains never interleave.
-      TaskGraph::TaskId prev_b = R[p - 1];
-      for (PartitionId m = 0; m < p; ++m) {
-        B[m] = tg.add([&, m] { broadcast_worker(m); }, {M[m], prev_b});
-        prev_b = B[m];
-      }
+    // broadcast(m) reads only bcast[m] and graph-level routing tables,
+    // so it needs no residency; B(0) waits for the whole route chain so
+    // the two serial chains never interleave.
+    TaskGraph::TaskId prev_b = R[p - 1];
+    for (PartitionId m = 0; m < p; ++m) {
+      B[m] = tg.add([&, m] { broadcast_worker(m); }, {M[m], prev_b});
+      prev_b = B[m];
     }
 
     // Phase 3: load → install → release.
@@ -700,15 +644,8 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
              g >= overlap ? Rel3[g - overlap] : Rel2[ng - overlap + g]});
       }
       for (PartitionId i = grp.first; i < grp.last; ++i) {
-        I[i] = tg.add([&, i] { install_worker(i); }, {L3[g]});
-        if (async) {
-          tg.depend(I[i], M[i]);
-          for (const PartitionId m2 : masters_of[i]) tg.depend(I[i], M[m2]);
-        } else {
-          tg.depend(I[i], masters_of[i].empty()
-                              ? B[i]
-                              : B[std::max(i, masters_of[i].back())]);
-        }
+        I[i] = tg.add([&, i] { install_worker(i); },
+                      {L3[g], B[last_master[i]]});
       }
       if (with_loads) {
         Rel3[g] = tg.add([&, grp] { release(grp.first, grp.last); },
@@ -744,8 +681,7 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
     for (PartitionId i = 0; i < p; ++i) {
       if (changed[i] != 0) any_change = true;
       step_stats[i].messages_sent = sent[i];
-      step_stats[i].messages_received =
-          received[i].load(std::memory_order_relaxed);
+      step_stats[i].messages_received = received[i];
       stats.messages_sent_per_worker[i] += sent[i];
       stats.total_messages += sent[i];
       stats.raw_messages += raw[i];

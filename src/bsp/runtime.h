@@ -22,11 +22,11 @@
 // Scheduling: each superstep is a per-worker task graph — compute+route,
 // master-merge, mirror-install, plus loader/release tasks that prefetch
 // the next residency group while the current one computes — executed by
-// a work-stealing scheduler (common/task_graph.h). The default strict
-// mode serialises mailbox appends on deterministic ordering chains, so
-// supersteps, messages, values and virtual time are bit-identical to the
-// historical three-sweep schedule at every budget; the opt-in async mode
-// relaxes the ordering (docs/ARCHITECTURE.md, "Task-graph scheduler").
+// a work-stealing scheduler (common/task_graph.h). Mailbox appends run
+// on deterministic ordering chains, so supersteps, messages, values and
+// virtual time are bit-identical to the historical three-sweep schedule
+// at every budget and team size (docs/ARCHITECTURE.md, "The task-graph
+// superstep scheduler").
 #pragma once
 
 #include <any>
@@ -100,9 +100,7 @@ class SubgraphProgram {
 /// Per-superstep real-time attribution across the scheduler's task
 /// kinds, summed over all workers (RunOptions::phase_stats; diagnostic
 /// only — real seconds, not the virtual-time cost model, and never part
-/// of the bit-identity contract). In async mode the phases nest: route
-/// runs inside the compute task and broadcast inside merge, so their
-/// seconds are counted in both rows.
+/// of the bit-identity contract).
 struct PhaseWallStats {
   double compute_seconds = 0.0;
   double route_seconds = 0.0;
@@ -168,32 +166,14 @@ struct RunStats {
   std::vector<Value> values;
 };
 
-/// How the computation stage executes. Virtual-time accounting and all
-/// results are identical under both policies (workers touch disjoint
-/// state); kParallel uses one OS thread per worker for wall-clock speed
-/// on multi-core hosts.
+/// Who executes each superstep's task graph. kSequential (the default)
+/// runs it inline on the calling thread in deterministic topological
+/// order; kParallel runs it on a work-stealing team of
+/// RunOptions::num_threads ranks (the whole shared pool when 0).
+/// Results and virtual-time accounting are identical under both: the
+/// route and broadcast chains fix every mailbox's append order whatever
+/// the steal schedule.
 enum class ExecutionPolicy { kSequential, kParallel };
-
-/// How the superstep task graph orders communication.
-enum class SchedulerMode {
-  /// Mirror routing and master broadcasts run on deterministic ordering
-  /// chains (ascending worker id), so every mailbox's append order — and
-  /// therefore the master's fold order — matches the historical sweep
-  /// schedule exactly. Results are bit-identical at every residency
-  /// budget and thread count. The default.
-  kStrict,
-  /// Relaxed ordering: routing, merges and installs run concurrently,
-  /// with dependencies derived from the routing tables (a master merges
-  /// once all its senders routed; a mirror installs once all its masters
-  /// merged), so no message is lost or deferred — the relaxation is the
-  /// ARRIVAL ORDER within a mailbox, not delivery. Superstep counts,
-  /// message counts and virtual time are unchanged; programs whose
-  /// combine() is order-insensitive over doubles (min/max: CC, SSSP,
-  /// BFS) produce bit-identical values, while float sums (PageRank) may
-  /// differ in final bits. Rejected with combine_messages (combining
-  /// decisions depend on arrival order).
-  kAsync,
-};
 
 /// Runtime options.
 struct RunOptions {
@@ -205,16 +185,13 @@ struct RunOptions {
   /// PartitionConfig::num_threads: the knob bounds the fan-out exactly,
   /// the shared pool only carries the ranks). 0 = use the whole pool.
   std::uint32_t num_threads = 0;
-  /// Superstep ordering; see SchedulerMode. Results under kStrict (the
-  /// default) are independent of policy/num_threads/prefetch.
-  SchedulerMode scheduler = SchedulerMode::kStrict;
   /// Under a bounded residency budget of k >= 2, shrink the residency
   /// groups to ⌊k/2⌋ so a loader task maps group g+1's EBVW sections
   /// while group g computes — double buffering, with current + next
   /// group together still inside the budget. Results are bit-identical
-  /// either way: the strict contract holds for every budget, hence for
-  /// every grouping; the knob only trades group granularity for
-  /// compute/I-O overlap.
+  /// either way: the contract holds for every budget, hence for every
+  /// grouping; the knob only trades group granularity for compute/I-O
+  /// overlap.
   bool prefetch = true;
 
   /// Residency budget: at most this many workers' subgraphs materialised
@@ -257,7 +234,7 @@ struct RunOptions {
   /// (scanning back past torn files; starting from scratch when none is
   /// readable). The resumed run is BIT-IDENTICAL to the uninterrupted
   /// one — values, supersteps, message counts, virtual time — at every
-  /// resident_workers × prefetch × scheduler combination. Rejects a
+  /// resident_workers × prefetch × team-size combination. Rejects a
   /// checkpoint whose graph shape or program name does not match.
   bool resume = false;
 
@@ -321,7 +298,10 @@ class WorkerContext {
   }
 
   /// Local vertices whose values changed in the previous communication
-  /// stage — the frontier for incremental programs.
+  /// stage — the frontier for incremental programs. Its order (single-
+  /// copy resolutions, master merges, then mirror installs in mailbox
+  /// drain order) is part of the determinism contract
+  /// (docs/ARCHITECTURE.md, "Delivery order").
   [[nodiscard]] const std::vector<VertexId>& updated() const {
     return *updated_;
   }

@@ -1,5 +1,5 @@
 // Static task-graph execution with work stealing, plus the bounded
-// channel used for producer→consumer backpressure.
+// channel the serve admission queues use.
 //
 // TaskGraph is a single-shot DAG of std::function tasks with explicit
 // dependencies. run(team) executes it on ThreadPool::run_team ranks:
@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
-#include <optional>
 #include <vector>
 
 #include "common/sync.h"
@@ -77,19 +76,14 @@ class TaskGraph {
 /// pop a long-lived consumer (e.g. a serve worker multiplexing several
 /// admission queues) needs to tell "no work right now" (kTimedOut,
 /// keep serving other queues) apart from "closed and fully drained"
-/// (kClosed, exit for good). A plain pop() cannot make the distinction
-/// without blocking forever on an empty-but-open channel.
+/// (kClosed, exit for good).
 enum class ChannelPopStatus { kItem, kTimedOut, kClosed };
 
-/// Bounded multi-producer ring channel (mutex + condition variables).
-/// push() blocks while full — backpressure; try_push()/try_pop() never
-/// block, which is what a task scheduled on a finite pool must use (a
-/// task that blocks on channel state occupies its executor, and a full
-/// complement of blocked tasks deadlocks the pool — see
-/// docs/ARCHITECTURE.md, "Task-graph scheduler"). close() wakes all
-/// waiters; pop() returns nullopt once the channel is closed and empty,
-/// and pop_until_closed() bounds the wait so multiplexing consumers can
-/// drain several channels without parking on one.
+/// Bounded multi-producer ring channel (mutex + condition variable).
+/// try_push()/try_pop() never block: a full channel rejects the push,
+/// which is how the caller sheds load. pop_until_closed() bounds the
+/// wait so multiplexing consumers can drain several channels without
+/// parking on one, and close() wakes every waiter.
 template <typename T>
 class BoundedChannel {
  public:
@@ -102,17 +96,7 @@ class BoundedChannel {
     if (closed_ || size_ == capacity_) return false;
     buf_[(head_ + size_) % capacity_] = v;
     ++size_;
-    not_empty_.notify_one();
-    return true;
-  }
-
-  /// Blocks while full; false when the channel is (or becomes) closed.
-  bool push(const T& v) EBV_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    while (!closed_ && size_ == capacity_) not_full_.wait(mu_);
-    if (closed_) return false;
-    buf_[(head_ + size_) % capacity_] = v;
-    ++size_;
+    if (size_ > high_water_) high_water_ = size_;
     not_empty_.notify_one();
     return true;
   }
@@ -124,20 +108,7 @@ class BoundedChannel {
     out = buf_[head_];
     head_ = (head_ + 1) % capacity_;
     --size_;
-    not_full_.notify_one();
     return true;
-  }
-
-  /// Blocks until an item arrives; nullopt once closed and drained.
-  std::optional<T> pop() EBV_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    while (size_ == 0 && !closed_) not_empty_.wait(mu_);
-    if (size_ == 0) return std::nullopt;
-    T out = buf_[head_];
-    head_ = (head_ + 1) % capacity_;
-    --size_;
-    not_full_.notify_one();
-    return out;
   }
 
   /// Timed, drain-aware pop: kItem when an element arrived within
@@ -161,7 +132,6 @@ class BoundedChannel {
     out = buf_[head_];
     head_ = (head_ + 1) % capacity_;
     --size_;
-    not_full_.notify_one();
     return ChannelPopStatus::kItem;
   }
 
@@ -169,28 +139,29 @@ class BoundedChannel {
     MutexLock lock(mu_);
     closed_ = true;
     not_empty_.notify_all();
-    not_full_.notify_all();
   }
 
-  /// Fixed at construction, so no lock is needed (and none taken).
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  [[nodiscard]] std::size_t size() const EBV_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return size_;
-  }
   [[nodiscard]] bool closed() const EBV_EXCLUDES(mu_) {
     MutexLock lock(mu_);
     return closed_;
   }
 
+  /// Most items the channel ever held at once. Counted under the lock
+  /// together with the push, so it is exact and never exceeds the
+  /// capacity; a counter kept beside the channel would race the pops.
+  [[nodiscard]] std::size_t high_water() const EBV_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    return high_water_;
+  }
+
  private:
   mutable Mutex mu_;
   CondVar not_empty_;
-  CondVar not_full_;
   const std::size_t capacity_;
   std::vector<T> buf_ EBV_GUARDED_BY(mu_);
   std::size_t head_ EBV_GUARDED_BY(mu_) = 0;
   std::size_t size_ EBV_GUARDED_BY(mu_) = 0;
+  std::size_t high_water_ EBV_GUARDED_BY(mu_) = 0;
   bool closed_ EBV_GUARDED_BY(mu_) = false;
 };
 

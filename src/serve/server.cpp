@@ -261,14 +261,6 @@ void Server::session_loop(const std::shared_ptr<Session>& session) {
     }
     counters_[cls].accepted.fetch_add(1, std::memory_order_relaxed);
     session->pending.fetch_add(1, std::memory_order_acq_rel);
-    const std::uint32_t depth =
-        counters_[cls].depth.fetch_add(1, std::memory_order_relaxed) + 1;
-    std::uint32_t high = counters_[cls].depth_high_water.load(
-        std::memory_order_relaxed);
-    while (depth > high &&
-           !counters_[cls].depth_high_water.compare_exchange_weak(
-               high, depth, std::memory_order_relaxed)) {
-    }
   }
   // The reader is finished (EOF, error or hang-up after a malformed
   // frame), but requests this session already got admitted may still be
@@ -294,7 +286,6 @@ void Server::worker_loop(unsigned rank) {
       if (drained[c]) continue;
       std::shared_ptr<PendingRequest> request;
       while (queues_[c]->try_pop(request)) {
-        counters_[c].depth.fetch_sub(1, std::memory_order_relaxed);
         process(*request);
         request.reset();
         any = true;
@@ -311,7 +302,6 @@ void Server::worker_loop(unsigned rank) {
     switch (queues_[c]->pop_until_closed(request,
                                          std::chrono::milliseconds(2))) {
       case ChannelPopStatus::kItem:
-        counters_[c].depth.fetch_sub(1, std::memory_order_relaxed);
         process(*request);
         break;
       case ChannelPopStatus::kClosed:
@@ -442,7 +432,7 @@ ServerStats Server::stats() const {
     out.classes[c].internal_errors =
         k.internal_errors.load(std::memory_order_relaxed);
     out.classes[c].depth_high_water =
-        k.depth_high_water.load(std::memory_order_relaxed);
+        static_cast<std::uint32_t>(queues_[c]->high_water());
   }
   out.sessions_accepted = sessions_accepted_->value();
   out.malformed_frames = malformed_frames_->value();

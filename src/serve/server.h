@@ -51,17 +51,14 @@ struct ServerConfig {
 };
 
 /// Monotonic per-class counters (latencies live in the server's metrics
-/// registry). `depth`/`depth_high_water` observe the admission queue (the
-/// BoundedChannel capacity is what *enforces* the bound; these exist so
-/// the stress test and the stats table can see it was never exceeded).
+/// registry; the admission queue's high-water depth lives in its
+/// BoundedChannel).
 struct ClassCounters {
   std::atomic<std::uint64_t> accepted{0};
   std::atomic<std::uint64_t> completed{0};
   std::atomic<std::uint64_t> rejected_overloaded{0};
   std::atomic<std::uint64_t> rejected_bad{0};
   std::atomic<std::uint64_t> internal_errors{0};
-  std::atomic<std::uint32_t> depth{0};
-  std::atomic<std::uint32_t> depth_high_water{0};
 };
 
 /// Immutable snapshot of one class's counters + latency quantiles.
@@ -71,6 +68,8 @@ struct ClassStats {
   std::uint64_t rejected_overloaded = 0;
   std::uint64_t rejected_bad = 0;
   std::uint64_t internal_errors = 0;
+  /// Most requests the class's admission queue ever held at once
+  /// (BoundedChannel::high_water, so never above its queue_depth).
   std::uint32_t depth_high_water = 0;
   double p50_ms = 0.0;
   double p95_ms = 0.0;

@@ -2,7 +2,7 @@
 // checkpoint round-trips bit-for-bit, a run killed at the superstep
 // boundary and resumed finishes BIT-IDENTICAL to the uninterrupted run
 // (values, supersteps, message counts, virtual time) at every
-// resident_workers × prefetch × strict/async combination, corruption at
+// resident_workers × prefetch × team-size combination, corruption at
 // any byte is detected cleanly and falls back to the previous
 // checkpoint, and the durable-write protocol never publishes partial
 // state or leaks temp files — even under injected write failures.
@@ -343,7 +343,7 @@ TEST(CheckpointFormat, RejectsMalformedShapes) {
 struct ResumeCase {
   analysis::App app;
   std::uint32_t resident_workers;  // 0 = all resident
-  bool async;
+  bool parallel;                   // 4-rank work-stealing team
   bool prefetch;
   std::string tag;  // unique checkpoint/spill scratch name
 };
@@ -356,8 +356,7 @@ TEST_P(ResumeMatrix, KilledAndResumedRunIsBitIdentical) {
   base.resident_workers = c.resident_workers;
   base.prefetch = c.prefetch;
   if (c.resident_workers > 0) base.spill_dir = fresh_dir("spill_" + c.tag);
-  if (c.async) {
-    base.scheduler = bsp::SchedulerMode::kAsync;
+  if (c.parallel) {
     base.policy = bsp::ExecutionPolicy::kParallel;
     base.num_threads = 4;
   }
@@ -390,13 +389,13 @@ INSTANTIATE_TEST_SUITE_P(
         ResumeCase{analysis::App::kCC, 1, false, true, "cc_k1"},
         ResumeCase{analysis::App::kCC, 3, false, false, "cc_k3_nopf"},
         ResumeCase{analysis::App::kCC, 6, false, true, "cc_kp"},
-        ResumeCase{analysis::App::kCC, 3, true, true, "cc_k3_async"},
+        ResumeCase{analysis::App::kCC, 3, true, true, "cc_k3_par"},
         ResumeCase{analysis::App::kPageRank, 0, false, true, "pr_resident"},
         ResumeCase{analysis::App::kPageRank, 1, false, true, "pr_k1"},
         ResumeCase{analysis::App::kPageRank, 3, false, true, "pr_k3"},
         ResumeCase{analysis::App::kSssp, 0, false, true, "sssp_resident"},
         ResumeCase{analysis::App::kSssp, 3, false, true, "sssp_k3"},
-        ResumeCase{analysis::App::kSssp, 1, true, true, "sssp_k1_async"}),
+        ResumeCase{analysis::App::kSssp, 1, true, true, "sssp_k1_par"}),
     [](const testing::TestParamInfo<ResumeCase>& i) { return i.param.tag; });
 
 TEST(CheckpointResume, EmptyDirStartsFromScratchAndStaysIdentical) {

@@ -284,9 +284,9 @@ TEST(SpillRun, ParallelPolicyMatchesSequentialUnderBudget) {
 }
 
 TEST(SpillRun, StrictSchedulerBitIdenticalAcrossTeamAndPrefetch) {
-  // The work-stealing task graph in strict mode must not move a single
-  // bit relative to the all-resident sequential baseline — at every
-  // budget, with and without group prefetch, sequential and on a
+  // The work-stealing task graph's ordering chains must not move a
+  // single bit relative to the all-resident sequential baseline — at
+  // every budget, with and without group prefetch, sequential and on a
   // stealing team. (Prefetch halves the group size, so this also pins
   // that regrouping is observation-free.)
   const Graph& g = powerlaw_graph();
@@ -335,22 +335,17 @@ TEST(SpillRun, ResidencyBudgetHoldsUnderWorkStealing) {
   const apps::ConnectedComponents cc;
   for (const std::uint32_t k : {1u, 2u, 3u, 5u, 7u}) {
     for (const bool prefetch : {false, true}) {
-      for (const bool async : {false, true}) {
-        for (int rep = 0; rep < 3; ++rep) {
-          RunOptions options;
-          options.resident_workers = k;
-          options.prefetch = prefetch;
-          options.scheduler = async ? bsp::SchedulerMode::kAsync
-                                    : bsp::SchedulerMode::kStrict;
-          options.policy = bsp::ExecutionPolicy::kParallel;
-          options.num_threads = 4;
-          SCOPED_TRACE(testing::Message() << "k=" << k << " prefetch="
-                                          << prefetch << " async=" << async
-                                          << " rep=" << rep);
-          const RunStats run = BspRuntime(options).run(spilled, cc);
-          EXPECT_GE(run.peak_resident_workers, 1u);
-          EXPECT_LE(run.peak_resident_workers, k);
-        }
+      for (int rep = 0; rep < 3; ++rep) {
+        RunOptions options;
+        options.resident_workers = k;
+        options.prefetch = prefetch;
+        options.policy = bsp::ExecutionPolicy::kParallel;
+        options.num_threads = 4;
+        SCOPED_TRACE(testing::Message() << "k=" << k << " prefetch="
+                                        << prefetch << " rep=" << rep);
+        const RunStats run = BspRuntime(options).run(spilled, cc);
+        EXPECT_GE(run.peak_resident_workers, 1u);
+        EXPECT_LE(run.peak_resident_workers, k);
       }
     }
   }
@@ -359,65 +354,6 @@ TEST(SpillRun, ResidencyBudgetHoldsUnderWorkStealing) {
   EXPECT_EQ(BspRuntime().run(spilled, cc).peak_resident_workers, 8u);
   const DistributedGraph resident(g, partition);
   EXPECT_EQ(BspRuntime().run(resident, cc).peak_resident_workers, 0u);
-}
-
-TEST(SpillRun, AsyncSchedulerMatchesStrictForMinCombineApps) {
-  // Async relaxes mailbox APPEND ORDER only; delivery stays superstep-
-  // synchronous. CC (min) and SSSP (min) fold order-insensitively, so
-  // async must equal strict bit-for-bit — including virtual time.
-  for (const auto app : {analysis::App::kCC, analysis::App::kSssp}) {
-    const Graph& g =
-        app == analysis::App::kSssp ? weighted_graph() : powerlaw_graph();
-    const auto strict = analysis::run_experiment(g, "ebv", 8, app);
-    RunOptions options;
-    options.scheduler = bsp::SchedulerMode::kAsync;
-    options.policy = bsp::ExecutionPolicy::kParallel;
-    options.num_threads = 4;
-    SCOPED_TRACE(analysis::app_name(app));
-    const auto relaxed = analysis::run_experiment(g, "ebv", 8, app, options);
-    expect_stats_identical(relaxed.run, strict.run);
-  }
-}
-
-TEST(SpillRun, AsyncUnderBoundedSpillBudgetMatchesStrict) {
-  // Async + spilled snapshot + bounded residency + prefetch: the full
-  // composition. CC's min-combine keeps it exact.
-  const Graph& g = powerlaw_graph();
-  const EdgePartition partition = ebv_partition(g, 8);
-  const DistributedGraph resident(g, partition);
-  const DistributedGraph spilled(
-      g, partition, {.spill_path = temp_path("async_spill.ebvw")});
-  const apps::ConnectedComponents cc;
-  const RunStats base = BspRuntime().run(resident, cc);
-  RunOptions options;
-  options.scheduler = bsp::SchedulerMode::kAsync;
-  options.policy = bsp::ExecutionPolicy::kParallel;
-  options.num_threads = 4;
-  options.resident_workers = 4;
-  options.spill_dir = testing::TempDir();
-  expect_stats_identical(BspRuntime(options).run(spilled, cc), base);
-}
-
-TEST(SpillRun, AsyncPageRankKeepsCountsAndConvergesClose) {
-  // PR sums floats, so async final bits may differ with fold order — the
-  // contract only pins counts, supersteps and closeness.
-  const Graph& g = powerlaw_graph();
-  const auto strict =
-      analysis::run_experiment(g, "ebv", 8, analysis::App::kPageRank);
-  RunOptions options;
-  options.scheduler = bsp::SchedulerMode::kAsync;
-  options.policy = bsp::ExecutionPolicy::kParallel;
-  options.num_threads = 4;
-  const auto relaxed =
-      analysis::run_experiment(g, "ebv", 8, analysis::App::kPageRank, options);
-  EXPECT_EQ(relaxed.run.supersteps, strict.run.supersteps);
-  EXPECT_EQ(relaxed.run.total_messages, strict.run.total_messages);
-  EXPECT_EQ(relaxed.run.raw_messages, strict.run.raw_messages);
-  ASSERT_EQ(relaxed.run.values.size(), strict.run.values.size());
-  for (std::size_t v = 0; v < strict.run.values.size(); ++v) {
-    EXPECT_NEAR(relaxed.run.values[v], strict.run.values[v], 1e-12)
-        << "v=" << v;
-  }
 }
 
 TEST(SpillRun, CombiningReducesMessagesAndPreservesMinValues) {

@@ -1,6 +1,7 @@
-// TaskGraph (work-stealing DAG execution) and BoundedChannel — the BSP
-// scheduler's substrate. Includes the high-thread-count stress tests that
-// hammer the steal and channel paths (also run under TSan in CI).
+// TaskGraph (work-stealing DAG execution, the BSP scheduler's substrate)
+// and BoundedChannel (the serve admission queues). Includes the
+// high-thread-count stress tests that hammer the steal and channel paths
+// (also run under TSan in CI).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -196,36 +197,17 @@ TEST(BoundedChannel, TryPushRespectsCapacity) {
   EXPECT_TRUE(ch.try_push(1));
   EXPECT_TRUE(ch.try_push(2));
   EXPECT_FALSE(ch.try_push(3)) << "ring is full";
+  EXPECT_EQ(ch.high_water(), 2u);
   int out = 0;
   EXPECT_TRUE(ch.try_pop(out));
   EXPECT_EQ(out, 1);
   EXPECT_TRUE(ch.try_push(3)) << "slot freed";
+  EXPECT_EQ(ch.high_water(), 2u) << "a refill never exceeds the capacity";
   EXPECT_TRUE(ch.try_pop(out));
   EXPECT_EQ(out, 2);
   EXPECT_TRUE(ch.try_pop(out));
   EXPECT_EQ(out, 3);
   EXPECT_FALSE(ch.try_pop(out));
-}
-
-TEST(BoundedChannel, CloseWakesBlockedConsumer) {
-  BoundedChannel<int> ch(4);
-  std::thread consumer([&] {
-    EXPECT_EQ(ch.pop(), std::nullopt);  // blocks until close
-  });
-  ch.close();
-  consumer.join();
-  EXPECT_FALSE(ch.try_push(1)) << "closed channel rejects pushes";
-}
-
-TEST(BoundedChannel, BlockingPushAppliesBackpressure) {
-  BoundedChannel<int> ch(1);
-  ASSERT_TRUE(ch.push(1));
-  std::thread producer([&] {
-    EXPECT_TRUE(ch.push(2));  // blocks until the consumer pops
-  });
-  EXPECT_EQ(ch.pop(), 1);
-  EXPECT_EQ(ch.pop(), 2);
-  producer.join();
 }
 
 TEST(BoundedChannel, PopUntilClosedReturnsItemWhenAvailable) {
@@ -238,10 +220,9 @@ TEST(BoundedChannel, PopUntilClosedReturnsItemWhenAvailable) {
 }
 
 TEST(BoundedChannel, PopUntilClosedTimesOutOnOpenEmptyChannel) {
-  // The regression this API exists for: before pop_until_closed a worker
-  // blocked on an empty queue could not bound its wait, so it could not
-  // multiplex several queues or notice a drain request — pop() only
-  // returns on an item or on close.
+  // The regression this API exists for: a worker blocked on an empty
+  // queue must bound its wait, or it could not multiplex several queues
+  // or notice a drain request.
   BoundedChannel<int> ch(4);
   int out = 0;
   EXPECT_EQ(ch.pop_until_closed(out, std::chrono::milliseconds(1)),
@@ -285,11 +266,14 @@ TEST(BoundedChannel, CloseWakesPopUntilClosedBeforeTimeout) {
   ch.close();
   consumer.join();
   EXPECT_TRUE(done.load());
+  EXPECT_FALSE(ch.try_push(1)) << "closed channel rejects pushes";
 }
 
 TEST(BoundedChannelStress, ManyProducersOneConsumer) {
-  // The MPSC shape the async mailboxes use, far over capacity so both the
-  // blocking and wakeup paths run constantly.
+  // The serve admission pattern: producers retry try_push on a full
+  // ring, one consumer parks in pop_until_closed, and close() after the
+  // last push must still deliver the backlog. Far over capacity, so the
+  // full-ring and wakeup paths run constantly.
   constexpr int kProducers = 8;
   constexpr int kPerProducer = 5'000;
   BoundedChannel<int> ch(64);
@@ -297,27 +281,36 @@ TEST(BoundedChannelStress, ManyProducersOneConsumer) {
   producers.reserve(kProducers);
   for (int pr = 0; pr < kProducers; ++pr) {
     producers.emplace_back([&] {
-      for (int i = 0; i < kPerProducer; ++i) ASSERT_TRUE(ch.push(i));
+      for (int i = 0; i < kPerProducer; ++i) {
+        while (!ch.try_push(i)) std::this_thread::yield();
+      }
     });
   }
+  std::thread closer([&] {
+    for (auto& t : producers) t.join();
+    ch.close();
+  });
   std::uint64_t popped = 0;
   std::uint64_t sum = 0;
-  while (popped < std::uint64_t{kProducers} * kPerProducer) {
-    if (const auto v = ch.pop(); v.has_value()) {
+  int v = 0;
+  for (;;) {
+    const ChannelPopStatus status =
+        ch.pop_until_closed(v, std::chrono::milliseconds(10));
+    if (status == ChannelPopStatus::kClosed) break;
+    if (status == ChannelPopStatus::kItem) {
       ++popped;
-      sum += static_cast<std::uint64_t>(*v);
+      sum += static_cast<std::uint64_t>(v);
     }
   }
-  for (auto& t : producers) t.join();
+  closer.join();
+  EXPECT_EQ(popped, std::uint64_t{kProducers} * kPerProducer);
   EXPECT_EQ(sum, std::uint64_t{kProducers} * (std::uint64_t{kPerProducer} *
                                               (kPerProducer - 1) / 2));
-  int leftover = 0;
-  EXPECT_FALSE(ch.try_pop(leftover));
 }
 
 TEST(BoundedChannelStress, TryPathsUnderContention) {
   // Lossless non-blocking traffic: producers spin on try_push, a consumer
-  // spins on try_pop — the exact pattern of the async mailbox hot path.
+  // spins on try_pop, as a serve worker sweeps its queues.
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 10'000;
   BoundedChannel<std::uint32_t> ch(32);

@@ -351,14 +351,8 @@ int cmd_run(const ArgMap& args) {
     options.num_threads = threads;
   }
 
-  // --async 1 opts into the relaxed task-graph scheduler: routing, merges
-  // and installs run concurrently with dependencies from the routing
-  // tables. Exact for min/max-combine programs (cc, sssp); pr may differ
-  // in final float bits (fold order). --prefetch 0 disables the
-  // double-buffered group loader under a bounded residency budget.
-  if (get(args, "async", "0") != "0") {
-    options.scheduler = bsp::SchedulerMode::kAsync;
-  }
+  // --prefetch 0 disables the double-buffered group loader under a
+  // bounded residency budget.
   options.prefetch = get(args, "prefetch", "1") != "0";
 
   // --resident-workers K bounds how many worker subgraphs are materialised
@@ -924,7 +918,7 @@ void print_usage(std::ostream& out) {
          "            --app cc|pr|sssp [--threads T]\n"
          "            (--partition p.ebvp | [--algo ebv] [--parts 8])\n"
          "            [--resident-workers K] [--spill-dir DIR] [--combine 0|1]\n"
-         "            [--async 0|1] [--prefetch 0|1]\n"
+         "            [--prefetch 0|1]\n"
          "            [--checkpoint-dir DIR] [--checkpoint-every N]\n"
          "            [--resume 0|1] [--trace t.json] [--phase-stats 0|1]\n"
          "  serve     --mmap g.ebvs[,h.ebvs...] [--partition p.ebvp[,...]]\n"
