@@ -24,7 +24,7 @@ void Bfs::compute(bsp::WorkerContext& ctx, std::uint32_t superstep) const {
     frontier.pop();
     queued[v] = 0;
     const bsp::Value next_hop = ctx.value(v) + 1.0;
-    for (const VertexId w : ls.both_csr.neighbors(v)) {
+    for (const VertexId w : ctx.adjacency().neighbors(v)) {
       ++work;
       if (next_hop < ctx.value(w)) {
         ctx.set_value(w, next_hop);

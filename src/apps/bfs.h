@@ -24,6 +24,9 @@ class Bfs final : public bsp::SubgraphProgram {
   [[nodiscard]] bsp::Value combine(bsp::Value a, bsp::Value b) const override {
     return a < b ? a : b;
   }
+  [[nodiscard]] std::optional<CsrGraph::Direction> adjacency() const override {
+    return CsrGraph::Direction::kBoth;
+  }
   void compute(bsp::WorkerContext& ctx, std::uint32_t superstep) const override;
 
  private:

@@ -27,8 +27,9 @@ void Sssp::compute(bsp::WorkerContext& ctx, std::uint32_t superstep) const {
     heap.pop();
     ++work;
     if (dist > ctx.value(v)) continue;  // stale entry
-    const auto neighbors = ls.out_csr.neighbors(v);
-    const auto edge_ids = ls.out_csr.edge_ids(v);
+    const CsrGraph& out = ctx.adjacency();
+    const auto neighbors = out.neighbors(v);
+    const auto edge_ids = out.edge_ids(v);
     for (std::size_t k = 0; k < neighbors.size(); ++k) {
       ++work;
       const VertexId w = neighbors[k];

@@ -161,11 +161,8 @@ void DistributedGraph::build(const GraphView& graph,
       if (graph.has_weights()) ls.edge_weights.push_back(graph.weight(e));
     }
 
-    // Per-worker adjacency and replica flags.
-    for (LocalSubgraph& ls : locals_) {
-      build_local_csrs(ls);
-      fill_vertex_metadata(ls, graph, *this);
-    }
+    // Per-worker replica flags.
+    for (LocalSubgraph& ls : locals_) fill_vertex_metadata(ls, graph, *this);
     return;
   }
 
@@ -193,7 +190,7 @@ void DistributedGraph::build(const GraphView& graph,
       if (graph.has_weights()) ls.edge_weights.push_back(graph.weight(e));
     }
     fill_vertex_metadata(ls, graph, *this);
-    writer.write_worker(ls);  // CSRs are rebuilt at load time
+    writer.write_worker(ls);
   }
   writer.finish();
   store_.emplace(options.spill_path);

@@ -87,13 +87,12 @@ class DistributedGraph {
     return locals_[i];
   }
 
-  /// Spilled mode only: materialise worker i from the spill store.
-  /// `build_csr = false` skips the local adjacency CSRs (enough for
-  /// message routing). Throws std::invalid_argument in resident mode.
-  [[nodiscard]] LocalSubgraph load_worker(PartitionId i,
-                                          bool build_csr = true) const {
+  /// Spilled mode only: materialise worker i from the spill store (its
+  /// id tables, flags and edges; no adjacency index). Throws
+  /// std::invalid_argument in resident mode.
+  [[nodiscard]] LocalSubgraph load_worker(PartitionId i) const {
     EBV_REQUIRE(spilled(), "load_worker(): subgraphs are resident; use local()");
-    return store_->load_worker(i, build_csr);
+    return store_->load_worker(i);
   }
 
   /// Parts holding vertex v (ascending). Size 1 for non-replicated

@@ -4,13 +4,16 @@
 // routes by. Produced either resident (DistributedGraph keeps all p at
 // once) or materialised on demand from a worker-spill snapshot
 // (bsp/spill_store.h), which is what bounds aggregate subgraph residency
-// for graphs whose partitions exceed RAM.
+// for graphs whose partitions exceed RAM. It holds no adjacency index:
+// the runtime builds the one CSR a program declares
+// (SubgraphProgram::adjacency()) from `edges` when the program runs.
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
-#include "graph/csr.h"
+#include "common/types.h"
 
 namespace ebv::bsp {
 
@@ -23,10 +26,6 @@ struct LocalSubgraph {
 
   std::vector<Edge> edges;          // endpoints are local ids
   std::vector<float> edge_weights;  // empty when the graph is unweighted
-
-  CsrGraph out_csr;   // local out-adjacency
-  CsrGraph in_csr;    // local in-adjacency
-  CsrGraph both_csr;  // symmetrised (for CC-style propagation)
 
   std::vector<std::uint8_t> is_replicated;  // per local vertex
   std::vector<std::uint8_t> is_master;      // per local vertex
@@ -50,15 +49,5 @@ struct LocalSubgraph {
     return static_cast<VertexId>(it - global_ids.begin());
   }
 };
-
-/// Build the three local adjacency CSRs from `edges`. Deterministic for a
-/// given edge sequence, so rebuilding after a spill round-trip reproduces
-/// the resident structures bit for bit.
-inline void build_local_csrs(LocalSubgraph& ls) {
-  const VertexId ln = ls.num_vertices();
-  ls.out_csr = CsrGraph::build(ln, ls.edges, CsrGraph::Direction::kOut);
-  ls.in_csr = CsrGraph::build(ln, ls.edges, CsrGraph::Direction::kIn);
-  ls.both_csr = CsrGraph::build(ln, ls.edges, CsrGraph::Direction::kBoth);
-}
 
 }  // namespace ebv::bsp

@@ -37,6 +37,8 @@
 
 #include "bsp/cost_model.h"
 #include "bsp/distributed_graph.h"
+#include "common/assert.h"
+#include "graph/csr.h"
 
 namespace ebv::bsp {
 
@@ -77,6 +79,15 @@ class SubgraphProgram {
   /// Local computation for one superstep. Read/write values via ctx;
   /// report emitted updates with ctx.emit() and work with ctx.add_work().
   virtual void compute(WorkerContext& ctx, std::uint32_t superstep) const = 0;
+
+  /// The one local adjacency compute() reads through
+  /// WorkerContext::adjacency(): kOut (SSSP), kBoth (BFS), or none for
+  /// programs that walk LocalSubgraph::edges directly (CC, PageRank).
+  /// The runtime builds it in the compute task and drops it together
+  /// with the worker's subgraph, so no other adjacency is ever built.
+  [[nodiscard]] virtual std::optional<CsrGraph::Direction> adjacency() const {
+    return std::nullopt;
+  }
 
   /// If set, the runtime executes exactly this many supersteps (PageRank);
   /// otherwise it halts when a superstep changes no value anywhere.
@@ -282,6 +293,15 @@ class WorkerContext {
 
   [[nodiscard]] const LocalSubgraph& local() const { return local_; }
 
+  /// The CSR over local().edges that the program declared with
+  /// SubgraphProgram::adjacency(); for compute() only, no other hook gets
+  /// one. Throws std::invalid_argument when the program declared none.
+  [[nodiscard]] const CsrGraph& adjacency() const {
+    EBV_REQUIRE(adjacency_ != nullptr,
+                "adjacency(): the program declares no adjacency");
+    return *adjacency_;
+  }
+
   [[nodiscard]] Value value(VertexId local_v) const { return values_[local_v]; }
   void set_value(VertexId local_v, Value v) { values_[local_v] = v; }
 
@@ -324,6 +344,7 @@ class WorkerContext {
   const SubgraphProgram& program_;
   const std::vector<VertexId>* updated_ = nullptr;
   std::any* state_ = nullptr;
+  const CsrGraph* adjacency_ = nullptr;
   std::uint64_t work_units_ = 0;
 };
 

@@ -260,7 +260,7 @@ SpillStore::SpillStore(const std::string& path) : path_(path) {
   }
 }
 
-LocalSubgraph SpillStore::load_worker(PartitionId i, bool build_csr) const {
+LocalSubgraph SpillStore::load_worker(PartitionId i) const {
   EBV_REQUIRE(i < num_workers_, "load_worker: worker id out of range");
   const detail::SpillWorkerEntry& entry = table_[i];
   const std::byte* base = file_.data();
@@ -306,7 +306,6 @@ LocalSubgraph SpillStore::load_worker(PartitionId i, bool build_csr) const {
     }
   }
 
-  if (build_csr) build_local_csrs(ls);
   return ls;
 }
 

@@ -67,8 +67,7 @@ class SpillStoreWriter {
   SpillStoreWriter& operator=(const SpillStoreWriter&) = delete;
 
   /// Append the next worker's sections. `ls.part` must equal the number
-  /// of workers written so far; CSRs are not serialised (loads rebuild
-  /// them) and may be left unbuilt.
+  /// of workers written so far.
   void write_worker(const LocalSubgraph& ls);
 
   /// Write the worker table, patch the header, flush. Requires all
@@ -105,12 +104,10 @@ class SpillStore {
   [[nodiscard]] const std::string& path() const { return path_; }
   [[nodiscard]] std::size_t mapped_bytes() const { return file_.size(); }
 
-  /// Materialise worker i. `build_csr = false` skips the three local
-  /// adjacency CSRs — the runtime's communication-only sweeps route by
-  /// id tables and flags alone, so their loads are O(|Vi| + |Ei|) copies
-  /// with no CSR construction.
-  [[nodiscard]] LocalSubgraph load_worker(PartitionId i,
-                                          bool build_csr = true) const;
+  /// Materialise worker i: O(|Vi| + |Ei|) copies of its sections, with
+  /// no adjacency index (the runtime builds the one CSR a program
+  /// declares, in the compute task that reads it).
+  [[nodiscard]] LocalSubgraph load_worker(PartitionId i) const;
 
  private:
   io::detail::MappedFile file_;

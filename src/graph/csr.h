@@ -1,6 +1,7 @@
 // Compressed-sparse-row adjacency. Used by the local-based partitioners
-// (NE, METIS-like), by the Blogel Voronoi partitioner, and by the local
-// compute kernels inside BSP workers.
+// (NE, METIS-like), by the Blogel Voronoi partitioner, and by the BSP
+// runtime, which builds per worker the one local adjacency a program
+// declares (bsp::SubgraphProgram::adjacency()).
 #pragma once
 
 #include <span>

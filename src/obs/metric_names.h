@@ -1,5 +1,5 @@
 // Registered metric names for the obs:: registry. Every name handed to
-// Registry::counter/gauge/histogram must be a constant from this header
+// Registry::counter/histogram must be a constant from this header
 // (scripts/ebvlint.py, rule `inline-metric-name`, enforces this), so the
 // full metric namespace is reviewable in one place and docs/OBSERVABILITY.md
 // can stay in lockstep.
@@ -24,8 +24,6 @@ inline constexpr char kServeCompleted[] = "serve.completed";
 inline constexpr char kServeOverloaded[] = "serve.overloaded";
 inline constexpr char kServeBadRequest[] = "serve.bad-request";
 inline constexpr char kServeHandlerErrors[] = "serve.handler-errors";
-inline constexpr char kServeQueueDepth[] = "serve.queue-depth";
-inline constexpr char kServeQueueHighWater[] = "serve.queue-high-water";
 
 // --- serve: session/frame level (not per-class) ------------------------
 inline constexpr char kServeSessionsAccepted[] = "serve.sessions-accepted";

@@ -90,15 +90,6 @@ Counter& Registry::counter(std::string_view name) {
   return *it->second;
 }
 
-Gauge& Registry::gauge(std::string_view name) {
-  MutexLock lock(mu_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_.emplace(std::string(name), std::make_unique<Gauge>()).first;
-  }
-  return *it->second;
-}
-
 Histogram& Registry::histogram(std::string_view name) {
   MutexLock lock(mu_);
   auto it = histograms_.find(name);
@@ -112,19 +103,12 @@ std::vector<Metric> Registry::snapshot() const {
   std::vector<Metric> out;
   {
     MutexLock lock(mu_);
-    out.reserve(counters_.size() + gauges_.size() + histograms_.size());
+    out.reserve(counters_.size() + histograms_.size());
     for (const auto& [name, counter] : counters_) {
       Metric m;
       m.name = name;
       m.kind = Metric::Kind::kCounter;
       m.counter_value = counter->value();
-      out.push_back(std::move(m));
-    }
-    for (const auto& [name, gauge] : gauges_) {
-      Metric m;
-      m.name = name;
-      m.kind = Metric::Kind::kGauge;
-      m.gauge_value = gauge->value();
       out.push_back(std::move(m));
     }
     for (const auto& [name, histogram] : histograms_) {
@@ -161,9 +145,6 @@ std::string format_metrics_table(const std::vector<Metric>& metrics) {
     switch (m.kind) {
       case Metric::Kind::kCounter:
         value = with_commas(m.counter_value);
-        break;
-      case Metric::Kind::kGauge:
-        value = std::to_string(m.gauge_value);
         break;
       case Metric::Kind::kHistogram: {
         const HistogramSnapshot& h = m.histogram;

@@ -1,11 +1,11 @@
-// Process-wide metrics registry: named counters, gauges, and fixed-
+// Process-wide metrics registry: named counters and fixed-
 // boundary log-bucket histograms with p50/p95/p99 readout.
 //
 // Contract (docs/OBSERVABILITY.md):
-//  * The hot path — Counter::add, Gauge::set/update_max, Histogram::record
+//  * The hot path — Counter::add, Histogram::record
 //    — is lock-free: relaxed atomic read-modify-writes only, no allocation,
 //    no mutex. Instruments are safe to hammer from every worker thread.
-//  * Registration (Registry::counter/gauge/histogram) and aggregation
+//  * Registration (Registry::counter/histogram) and aggregation
 //    (Registry::snapshot) take the registry mutex; both are cold paths.
 //    Call sites register once, cache the returned reference (stable for
 //    the registry's lifetime), and record through it.
@@ -41,30 +41,6 @@ class Counter {
 
  private:
   std::atomic<std::uint64_t> value_{0};
-};
-
-/// Point-in-time level (queue depth, resident workers). update_max keeps
-/// a high-water mark in the same instrument family.
-class Gauge {
- public:
-  void set(std::int64_t v) { value_.store(v, std::memory_order_relaxed); }
-
-  void add(std::int64_t delta) { value_.fetch_add(delta, std::memory_order_relaxed); }
-
-  /// Raise the stored value to `v` if larger (relaxed CAS loop).
-  void update_max(std::int64_t v) {
-    std::int64_t cur = value_.load(std::memory_order_relaxed);
-    while (v > cur &&
-           !value_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
-  }
-
-  [[nodiscard]] std::int64_t value() const {
-    return value_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::int64_t> value_{0};
 };
 
 /// Read-only copy of a histogram's state; quantile math lives here so
@@ -119,11 +95,10 @@ class Histogram {
 
 /// One aggregated metric in a registry snapshot.
 struct Metric {
-  enum class Kind { kCounter, kGauge, kHistogram };
+  enum class Kind { kCounter, kHistogram };
   std::string name;
   Kind kind = Kind::kCounter;
   std::uint64_t counter_value = 0;
-  std::int64_t gauge_value = 0;
   HistogramSnapshot histogram;
 };
 
@@ -139,7 +114,6 @@ class Registry {
   /// Get-or-create; the returned reference is stable for the registry's
   /// lifetime — cache it and record lock-free.
   Counter& counter(std::string_view name) EBV_EXCLUDES(mu_);
-  Gauge& gauge(std::string_view name) EBV_EXCLUDES(mu_);
   Histogram& histogram(std::string_view name) EBV_EXCLUDES(mu_);
 
   /// Aggregated view of every registered instrument, sorted by name.
@@ -150,8 +124,6 @@ class Registry {
  private:
   mutable Mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_
-      EBV_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_
       EBV_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_
       EBV_GUARDED_BY(mu_);

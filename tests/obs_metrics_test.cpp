@@ -136,20 +136,17 @@ TEST(Histogram, MergeAcrossThreads) {
   EXPECT_DOUBLE_EQ(snap.max, Histogram::bucket_bound(12));
 }
 
-TEST(Registry, CounterAndGaugeRoundTrip) {
+TEST(Registry, CounterRoundTrip) {
   Registry reg;
   Counter& c = reg.counter("test.requests");
   c.add();
   c.add(41);
   EXPECT_EQ(c.value(), 42);
-  Gauge& g = reg.gauge("test.depth");
-  g.set(7);
-  g.add(-2);
-  EXPECT_EQ(g.value(), 5);
-  g.update_max(3);  // no-op: below current
-  EXPECT_EQ(g.value(), 5);
-  g.update_max(9);
-  EXPECT_EQ(g.value(), 9);
+  const std::vector<Metric> metrics = reg.snapshot();
+  ASSERT_EQ(metrics.size(), 1u);
+  EXPECT_EQ(metrics[0].name, "test.requests");
+  EXPECT_EQ(metrics[0].kind, Metric::Kind::kCounter);
+  EXPECT_EQ(metrics[0].counter_value, 42u);
 }
 
 TEST(Registry, GetOrCreateReturnsStableInstance) {
@@ -166,7 +163,7 @@ TEST(Registry, SnapshotIsSortedByName) {
   Registry reg;
   reg.counter("zz.last").add(1);
   reg.histogram("mm.middle").record(1.0);
-  reg.gauge("aa.first").set(2);
+  reg.counter("aa.first").add(2);
   const std::vector<Metric> metrics = reg.snapshot();
   ASSERT_EQ(metrics.size(), 3u);
   EXPECT_EQ(metrics[0].name, "aa.first");

@@ -28,14 +28,21 @@ EdgePartition round_robin(const Graph& g, PartitionId p) {
 
 /// Propagates the maximum vertex id one hop per superstep (no local
 /// iteration): a minimal monotone program exercising the sync protocol.
+/// `declare_adjacency = false` reads the adjacency without declaring it.
 class MaxOneHop final : public bsp::SubgraphProgram {
  public:
+  explicit MaxOneHop(bool declare_adjacency = true)
+      : declare_adjacency_(declare_adjacency) {}
   [[nodiscard]] std::string name() const override { return "max1hop"; }
   [[nodiscard]] Value init_value(VertexId global) const override {
     return static_cast<Value>(global);
   }
   [[nodiscard]] Value combine(Value a, Value b) const override {
     return a > b ? a : b;
+  }
+  [[nodiscard]] std::optional<CsrGraph::Direction> adjacency() const override {
+    if (!declare_adjacency_) return std::nullopt;
+    return CsrGraph::Direction::kBoth;
   }
   void compute(WorkerContext& ctx, std::uint32_t superstep) const override {
     const auto& ls = ctx.local();
@@ -48,7 +55,7 @@ class MaxOneHop final : public bsp::SubgraphProgram {
     }
     std::vector<std::uint8_t> changed(ls.num_vertices(), 0);
     for (const VertexId v : frontier) {
-      for (const VertexId w : ls.both_csr.neighbors(v)) {
+      for (const VertexId w : ctx.adjacency().neighbors(v)) {
         ctx.add_work(1);
         if (ctx.value(v) > ctx.value(w)) {
           ctx.set_value(w, ctx.value(v));
@@ -60,6 +67,9 @@ class MaxOneHop final : public bsp::SubgraphProgram {
       if (changed[v] != 0 && ls.is_replicated[v] != 0) ctx.emit(v, ctx.value(v));
     }
   }
+
+ private:
+  bool declare_adjacency_;
 };
 
 /// Counts supersteps; used to verify fixed_supersteps handling.
@@ -297,6 +307,15 @@ TEST(Runtime, NanProducingProgramFailsFast) {
   bounded.resident_workers = 1;
   EXPECT_THROW(BspRuntime(bounded).run(dist, NanEmitter()),
                std::runtime_error);
+}
+
+TEST(Runtime, AdjacencyNeedsADeclaration) {
+  // The runtime builds only the adjacency a program declares; reading
+  // one without declaring it is a programming error, not an empty CSR.
+  const Graph g = gen::erdos_renyi(40, 200, 13);
+  const DistributedGraph dist(g, round_robin(g, 2));
+  EXPECT_THROW(BspRuntime().run(dist, MaxOneHop(/*declare_adjacency=*/false)),
+               std::invalid_argument);
 }
 
 TEST(Runtime, ZeroWorkersPerNodeIsRejectedAtRunEntry) {

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "analysis/experiment.h"
+#include "apps/bfs.h"
 #include "apps/cc.h"
 #include "bsp/distributed_graph.h"
 #include "bsp/runtime.h"
@@ -53,19 +54,6 @@ EdgePartition ebv_partition(const Graph& g, PartitionId p) {
   return make_partitioner("ebv")->partition(g, {.num_parts = p});
 }
 
-void expect_csr_equal(const CsrGraph& a, const CsrGraph& b) {
-  ASSERT_EQ(a.num_vertices(), b.num_vertices());
-  ASSERT_EQ(a.num_entries(), b.num_entries());
-  for (VertexId v = 0; v < a.num_vertices(); ++v) {
-    const auto na = a.neighbors(v);
-    const auto nb = b.neighbors(v);
-    ASSERT_TRUE(std::equal(na.begin(), na.end(), nb.begin(), nb.end()));
-    const auto ea = a.edge_ids(v);
-    const auto eb = b.edge_ids(v);
-    ASSERT_TRUE(std::equal(ea.begin(), ea.end(), eb.begin(), eb.end()));
-  }
-}
-
 void expect_subgraph_equal(const LocalSubgraph& a, const LocalSubgraph& b) {
   EXPECT_EQ(a.part, b.part);
   EXPECT_EQ(a.global_ids, b.global_ids);
@@ -75,9 +63,6 @@ void expect_subgraph_equal(const LocalSubgraph& a, const LocalSubgraph& b) {
   EXPECT_EQ(a.is_master, b.is_master);
   EXPECT_EQ(a.master_part, b.master_part);
   EXPECT_EQ(a.global_out_degree, b.global_out_degree);
-  expect_csr_equal(a.out_csr, b.out_csr);
-  expect_csr_equal(a.in_csr, b.in_csr);
-  expect_csr_equal(a.both_csr, b.both_csr);
 }
 
 void expect_stats_identical(const RunStats& a, const RunStats& b) {
@@ -139,17 +124,6 @@ TEST(SpillStore, WeightedRoundTrip) {
   for (PartitionId i = 0; i < resident.num_workers(); ++i) {
     expect_subgraph_equal(spilled.load_worker(i), resident.local(i));
   }
-}
-
-TEST(SpillStore, LoadWithoutCsrSkipsAdjacency) {
-  const Graph& g = powerlaw_graph();
-  const DistributedGraph spilled(
-      g, ebv_partition(g, 4), {.spill_path = temp_path("nocsr.ebvw")});
-  const LocalSubgraph ls = spilled.load_worker(0, /*build_csr=*/false);
-  EXPECT_GT(ls.num_vertices(), 0u);
-  EXPECT_EQ(ls.out_csr.num_vertices(), 0u);
-  EXPECT_EQ(ls.in_csr.num_vertices(), 0u);
-  EXPECT_EQ(ls.both_csr.num_vertices(), 0u);
 }
 
 TEST(SpillStore, ResidentModeRejectsLoadAndSpilledRejectsLocal) {
@@ -235,6 +209,34 @@ TEST(SpillRun, SpilledGraphWithUnboundedBudgetIsIdentical) {
   RunOptions over;
   over.resident_workers = 100;  // >= p: same unbounded schedule
   expect_stats_identical(BspRuntime(over).run(spilled, cc), base);
+}
+
+TEST(SpillRun, DeclaredAdjacencyIsRebuiltAfterEveryRelease) {
+  // BFS is the only kBoth program in src/apps. Under a binding budget
+  // the runtime drops each worker's adjacency with its subgraph and
+  // rebuilds it in the next superstep's compute task, also on a
+  // stealing team where compute and release tasks run concurrently.
+  const Graph& g = powerlaw_graph();
+  const EdgePartition partition = ebv_partition(g, 6);
+  const DistributedGraph resident(g, partition);
+  const DistributedGraph spilled(
+      g, partition, {.spill_path = temp_path("bfs_adjacency.ebvw")});
+  const apps::Bfs bfs(0);
+  const RunStats base = BspRuntime().run(resident, bfs);
+  ASSERT_GT(base.supersteps, 1u);
+  for (const std::uint32_t k : {1u, 3u}) {
+    for (const bool parallel : {false, true}) {
+      RunOptions options;
+      options.resident_workers = k;
+      options.spill_dir = testing::TempDir();
+      if (parallel) {
+        options.policy = bsp::ExecutionPolicy::kParallel;
+        options.num_threads = 4;
+      }
+      SCOPED_TRACE(testing::Message() << "k=" << k << " par=" << parallel);
+      expect_stats_identical(BspRuntime(options).run(spilled, bfs), base);
+    }
+  }
 }
 
 TEST(SpillRun, BoundedSchedulerOnResidentGraphIsIdentical) {

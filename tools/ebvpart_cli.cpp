@@ -150,8 +150,8 @@ int cmd_convert(const ArgMap& args) {
   if (options.num_threads > 1) {
     request_global_threads(options.num_threads);
   }
-  options.deduplicate = get(args, "dedup", "0") != "0";
-  options.remove_self_loops = get(args, "keep-self-loops", "0") == "0";
+  options.deduplicate = get_uint(args, "dedup", "0", 1) != 0;
+  options.remove_self_loops = get_uint(args, "keep-self-loops", "0", 1) == 0;
   if (args.count("tmp") != 0) options.temp_dir = args.at("tmp");
 
   const std::string in = get(args, "in");
@@ -204,7 +204,7 @@ int cmd_convert(const ArgMap& args) {
 
 int cmd_stats(const ArgMap& args) {
   if (args.count("mmap") != 0) {
-    if (args.count("deep") != 0) {
+    if (get_uint(args, "deep", "0", 1) != 0) {
       throw std::invalid_argument(
           "--deep needs a resident graph; use --graph " + args.at("mmap"));
     }
@@ -224,7 +224,7 @@ int cmd_stats(const ArgMap& args) {
   table.add_row({"max total degree", with_commas(s.max_total_degree)});
   table.add_row({"isolated vertices", with_commas(s.isolated_vertices)});
   table.add_row({"power-law eta", format_fixed(s.eta, 2)});
-  if (args.count("deep") != 0) {
+  if (get_uint(args, "deep", "0", 1) != 0) {
     const auto cores = core_decomposition(graph);
     std::uint32_t max_core = 0;
     for (const auto c : cores) max_core = std::max(max_core, c);
@@ -353,7 +353,7 @@ int cmd_run(const ArgMap& args) {
 
   // --prefetch 0 disables the double-buffered group loader under a
   // bounded residency budget.
-  options.prefetch = get(args, "prefetch", "1") != "0";
+  options.prefetch = get_uint(args, "prefetch", "1", 1) != 0;
 
   // --resident-workers K bounds how many worker subgraphs are materialised
   // at a time; a binding budget (0 < K < parts) spills the per-worker
@@ -365,7 +365,7 @@ int cmd_run(const ArgMap& args) {
   options.resident_workers = static_cast<std::uint32_t>(
       get_uint(args, "resident-workers", "0", kU32Max));
   if (args.count("spill-dir") != 0) options.spill_dir = args.at("spill-dir");
-  options.combine_messages = get(args, "combine", "0") != "0";
+  options.combine_messages = get_uint(args, "combine", "0", 1) != 0;
 
   // --checkpoint-dir DIR writes a crash-consistent EBVC checkpoint at the
   // superstep barrier every --checkpoint-every N supersteps (default 1
@@ -378,14 +378,14 @@ int cmd_run(const ArgMap& args) {
   options.checkpoint_every = static_cast<std::uint32_t>(get_uint(
       args, "checkpoint-every", options.checkpoint_dir.empty() ? "0" : "1",
       kU32Max));
-  options.resume = get(args, "resume", "0") != "0";
+  options.resume = get_uint(args, "resume", "0", 1) != 0;
 
   // --phase-stats 1 collects a per-superstep wall breakdown by scheduler
   // task kind and prints it AFTER the run table (additive; the default
   // table stays byte-identical). --trace PATH writes a Chrome
   // trace-event JSON of the whole run (task spans, load/release, steal
   // and park instants) — stdout is unchanged, the notice goes to stderr.
-  options.phase_stats = get(args, "phase-stats", "0") != "0";
+  options.phase_stats = get_uint(args, "phase-stats", "0", 1) != 0;
 
   // Reclaim temp files (mailbox overflow, EBVW spill snapshots,
   // checkpoint temps) a killed run left behind, before we create ours.
@@ -907,8 +907,8 @@ void print_usage(std::ostream& out) {
          "            [--keep-self-loops 0|1] [--tmp DIR] [--trace t.json]\n"
          "            external-merge-sort a text edge list into a page-\n"
          "            aligned EBVS snapshot under a bounded memory budget\n"
-         "  stats     --graph g.{ebvg,ebvs,txt} [--deep 1]\n"
-         "            | --mmap g.ebvs   (zero-copy; --deep unsupported)\n"
+         "  stats     --graph g.{ebvg,ebvs,txt} [--deep 0|1]\n"
+         "            | --mmap g.ebvs   (zero-copy; --deep 1 unsupported)\n"
          "  partition --graph g.{ebvg,ebvs,txt} | --mmap g.ebvs\n"
          "            [--algo ebv] [--parts 8] [--alpha A] [--beta B]\n"
          "            [--order sorted|natural|desc|random] [--seed S]\n"
@@ -955,6 +955,7 @@ void print_usage(std::ostream& out) {
          "by scheduler task kind; query --op metrics renders a running\n"
          "daemon's live latency + counter registry (same renderer as the\n"
          "drain table).\n"
+         "Flags shown as 0|1 accept exactly 0 or 1.\n"
          "--failpoints SPEC (any command; or EBV_FAILPOINTS) injects\n"
          "deterministic I/O faults for testing — see docs/CLI.md.\n"
          "Formats: docs/FORMATS.md; full flag reference: docs/CLI.md.\n";
