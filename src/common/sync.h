@@ -24,7 +24,6 @@
 //    wait).
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <exception>
 #include <mutex>
@@ -91,27 +90,12 @@ class CondVar {
   /// Spurious wakeups happen: always wait in a predicate `while` loop.
   void wait(Mutex& mu) EBV_REQUIRES(mu) { wait_impl(mu); }
 
-  /// wait() with a deadline; std::cv_status::timeout once it passes.
-  template <typename Clock, typename Duration>
-  std::cv_status wait_until(Mutex& mu,
-                            const std::chrono::time_point<Clock, Duration>&
-                                deadline) EBV_REQUIRES(mu) {
-    return wait_until_impl(mu, deadline);
-  }
-
  private:
   // The condition variable's internal unlock/relock of `mu` is invisible
   // to the analysis (it models the lock as held across a wait), so the
-  // bodies opt out; the EBV_REQUIRES contracts above are what callers
-  // are checked against.
+  // body opts out; the EBV_REQUIRES contract above is what callers are
+  // checked against.
   void wait_impl(Mutex& mu) EBV_NO_THREAD_SAFETY_ANALYSIS { cv_.wait(mu); }
-
-  template <typename Clock, typename Duration>
-  std::cv_status wait_until_impl(
-      Mutex& mu, const std::chrono::time_point<Clock, Duration>& deadline)
-      EBV_NO_THREAD_SAFETY_ANALYSIS {
-    return cv_.wait_until(mu, deadline);
-  }
 
   std::condition_variable_any cv_;
 };

@@ -1,5 +1,4 @@
-// Static task-graph execution with work stealing, plus the bounded
-// channel the serve admission queues use.
+// Static task-graph execution with work stealing.
 //
 // TaskGraph is a single-shot DAG of std::function tasks with explicit
 // dependencies. run(team) executes it on ThreadPool::run_team ranks:
@@ -23,15 +22,11 @@
 // still drains the graph) and the first exception is rethrown.
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
 #include <vector>
-
-#include "common/sync.h"
-#include "common/thread_annotations.h"
 
 namespace ebv {
 
@@ -70,99 +65,6 @@ class TaskGraph {
 
   std::vector<Task> tasks_;
   bool ran_ = false;
-};
-
-/// Outcome of BoundedChannel::pop_until_closed — the drain-aware timed
-/// pop a long-lived consumer (e.g. a serve worker multiplexing several
-/// admission queues) needs to tell "no work right now" (kTimedOut,
-/// keep serving other queues) apart from "closed and fully drained"
-/// (kClosed, exit for good).
-enum class ChannelPopStatus { kItem, kTimedOut, kClosed };
-
-/// Bounded multi-producer ring channel (mutex + condition variable).
-/// try_push()/try_pop() never block: a full channel rejects the push,
-/// which is how the caller sheds load. pop_until_closed() bounds the
-/// wait so multiplexing consumers can drain several channels without
-/// parking on one, and close() wakes every waiter.
-template <typename T>
-class BoundedChannel {
- public:
-  explicit BoundedChannel(std::size_t capacity)
-      : capacity_(capacity > 0 ? capacity : 1), buf_(capacity_) {}
-
-  /// False when full or closed; never blocks.
-  bool try_push(const T& v) EBV_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    if (closed_ || size_ == capacity_) return false;
-    buf_[(head_ + size_) % capacity_] = v;
-    ++size_;
-    if (size_ > high_water_) high_water_ = size_;
-    not_empty_.notify_one();
-    return true;
-  }
-
-  /// False when empty; never blocks.
-  bool try_pop(T& out) EBV_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    if (size_ == 0) return false;
-    out = buf_[head_];
-    head_ = (head_ + 1) % capacity_;
-    --size_;
-    return true;
-  }
-
-  /// Timed, drain-aware pop: kItem when an element arrived within
-  /// `timeout` (written to `out`), kTimedOut when the channel is still
-  /// open but stayed empty, kClosed only once the channel is closed AND
-  /// drained — items pushed before close() are still delivered, so a
-  /// consumer looping until kClosed never drops accepted work. A close()
-  /// wakes every waiter immediately; the timeout is an upper bound, not
-  /// a poll interval.
-  ChannelPopStatus pop_until_closed(T& out, std::chrono::milliseconds timeout)
-      EBV_EXCLUDES(mu_) {
-    const auto deadline = std::chrono::steady_clock::now() + timeout;
-    MutexLock lock(mu_);
-    while (size_ == 0 && !closed_) {
-      if (not_empty_.wait_until(mu_, deadline) == std::cv_status::timeout) {
-        if (size_ == 0 && !closed_) return ChannelPopStatus::kTimedOut;
-        break;
-      }
-    }
-    if (size_ == 0) return ChannelPopStatus::kClosed;
-    out = buf_[head_];
-    head_ = (head_ + 1) % capacity_;
-    --size_;
-    return ChannelPopStatus::kItem;
-  }
-
-  void close() EBV_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    closed_ = true;
-    not_empty_.notify_all();
-  }
-
-  [[nodiscard]] bool closed() const EBV_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return closed_;
-  }
-
-  /// Most items the channel ever held at once. Counted under the lock
-  /// together with the push, so it is exact and never exceeds the
-  /// capacity; a counter kept beside the channel would race the pops.
-  [[nodiscard]] std::size_t high_water() const EBV_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return high_water_;
-  }
-
- private:
-  mutable Mutex mu_;
-  CondVar not_empty_;
-  const std::size_t capacity_;
-  std::vector<T> buf_ EBV_GUARDED_BY(mu_);
-  std::size_t head_ EBV_GUARDED_BY(mu_) = 0;
-  std::size_t size_ EBV_GUARDED_BY(mu_) = 0;
-  std::size_t high_water_ EBV_GUARDED_BY(mu_) = 0;
-  bool closed_ EBV_GUARDED_BY(mu_) = false;
 };
 
 }  // namespace ebv

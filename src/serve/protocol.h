@@ -68,16 +68,16 @@ enum class MsgType : std::uint16_t {
 
 enum class Status : std::uint16_t {
   kOk = 0,
-  kOverloaded = 1,    // admission queue full; retry later
+  kOverloaded = 1,    // request class at its queue depth; retry later
   kBadRequest = 2,    // malformed frame/payload or out-of-range operand
   kShuttingDown = 3,  // server is draining; no new work accepted
   kInternalError = 4,
 };
 
-/// Admission-control classes: each has its own BoundedChannel with an
-/// independent depth limit, so an expensive class (kRun) saturating its
-/// queue cannot starve the cheap lookup classes. kPartition/kReplicas
-/// share the router-lookup class.
+/// Admission-control classes: each has an independent depth limit on its
+/// share of the server's one admission queue, so an expensive class
+/// (kRun) at its limit cannot crowd the cheap lookup classes out of
+/// admission. kPartition/kReplicas share the router-lookup class.
 enum class RequestClass : std::uint8_t {
   kStats = 0,
   kDegree = 1,

@@ -14,6 +14,7 @@
 #include <utility>
 
 #include "analysis/table.h"
+#include "common/assert.h"
 #include "common/format.h"
 #include "common/parallel.h"
 #include "obs/metric_names.h"
@@ -48,10 +49,16 @@ std::string ServerStats::to_table() const {
 
 Server::Server(ServeContext context, ServerConfig config)
     : context_(std::move(context)), config_(std::move(config)) {
+  EBV_REQUIRE(config_.num_workers >= 1,
+              "serve needs at least one worker (--workers 0)");
+  EBV_REQUIRE(config_.max_sessions >= 1,
+              "serve needs at least one session (--max-sessions 0)");
   for (std::size_t c = 0; c < kNumClasses; ++c) {
-    queues_[c] =
-        std::make_unique<BoundedChannel<std::shared_ptr<PendingRequest>>>(
-            std::max<std::uint32_t>(config_.queue_depth[c], 1));
+    EBV_REQUIRE(config_.queue_depth[c] >= 1,
+                std::string("serve needs a queue depth of at least 1 for "
+                            "the ") +
+                    class_name(static_cast<RequestClass>(c)) +
+                    " class (--queues has a 0)");
   }
 
   // Register every instrument before any thread starts, then record
@@ -100,11 +107,10 @@ Server::Server(ServeContext context, ServerConfig config)
   started_ = std::chrono::steady_clock::now();
   acceptor_ = std::thread([this] { accept_loop(); });
   // run_team blocks its caller for the team's lifetime, so it gets a
-  // dedicated host thread; the team itself drains the admission queues.
+  // dedicated host thread; the team itself drains the admission queue.
   worker_host_ = std::thread([this] {
-    ThreadPool::global().run_team(
-        std::max<std::uint32_t>(config_.num_workers, 1),
-        [this](unsigned rank, unsigned) { worker_loop(rank); });
+    ThreadPool::global().run_team(config_.num_workers,
+                                  [this](unsigned, unsigned) { worker_loop(); });
   });
 }
 
@@ -239,28 +245,22 @@ void Server::session_loop(const std::shared_ptr<Session>& session) {
     }
 
     const auto cls = static_cast<std::size_t>(class_of(type));
-    auto request = std::make_shared<PendingRequest>();
-    request->session = session;
-    request->type = type;
-    request->request_id = frame.header.request_id;
-    request->body = std::move(frame.body);
-    request->enqueued = std::chrono::steady_clock::now();
-
-    if (!queues_[cls]->try_push(request)) {
-      // Full (or closed by a concurrent drain): reject NOW — admission
-      // control means bounded queues, not unbounded buffering.
+    PendingRequest request;
+    request.session = session;
+    request.type = type;
+    request.request_id = frame.header.request_id;
+    request.body = std::move(frame.body);
+    request.enqueued = std::chrono::steady_clock::now();
+    if (!admit(std::move(request), cls)) {
+      // Reject NOW — admission control means bounded per-class depths,
+      // not unbounded buffering.
       counters_[cls].rejected_overloaded.fetch_add(1,
                                                    std::memory_order_relaxed);
-      const Status status = draining_.load(std::memory_order_acquire)
-                                ? Status::kShuttingDown
-                                : Status::kOverloaded;
-      respond_error(*session, type, status, frame.header.request_id,
+      respond_error(*session, type, Status::kOverloaded,
+                    frame.header.request_id,
                     std::string(class_name(static_cast<RequestClass>(cls))) +
-                        " queue is full; retry later");
-      continue;
+                        " class is at its queue depth; retry later");
     }
-    counters_[cls].accepted.fetch_add(1, std::memory_order_relaxed);
-    session->pending.fetch_add(1, std::memory_order_acq_rel);
   }
   // The reader is finished (EOF, error or hang-up after a malformed
   // frame), but requests this session already got admitted may still be
@@ -275,42 +275,35 @@ void Server::session_loop(const std::shared_ptr<Session>& session) {
   session->done.store(true, std::memory_order_release);
 }
 
-void Server::worker_loop(unsigned rank) {
-  const std::size_t home = rank % kNumClasses;
-  std::array<bool, kNumClasses> drained{};
-  std::size_t num_drained = 0;
-  while (num_drained < kNumClasses) {
-    bool any = false;
-    for (std::size_t i = 0; i < kNumClasses; ++i) {
-      const std::size_t c = (home + i) % kNumClasses;
-      if (drained[c]) continue;
-      std::shared_ptr<PendingRequest> request;
-      while (queues_[c]->try_pop(request)) {
-        process(*request);
-        request.reset();
-        any = true;
-      }
+bool Server::admit(PendingRequest request, std::size_t cls) {
+  {
+    MutexLock lock(queue_mu_);
+    if (queued_[cls] >= config_.queue_depth[cls]) return false;
+    // Counted before the push, under the lock a worker needs to pop it:
+    // no worker can answer a request before it reads as accepted and
+    // pending. wait() closes the queue only after joining every session
+    // reader, so no admission ever finds it closed.
+    counters_[cls].accepted.fetch_add(1, std::memory_order_relaxed);
+    request.session->pending.fetch_add(1, std::memory_order_acq_rel);
+    high_water_[cls] = std::max(high_water_[cls], ++queued_[cls]);
+    queue_.push_back(std::move(request));
+  }
+  queue_cv_.notify_one();
+  return true;
+}
+
+void Server::worker_loop() {
+  while (true) {
+    PendingRequest request;
+    {
+      MutexLock lock(queue_mu_);
+      while (queue_.empty() && !queue_closed_) queue_cv_.wait(queue_mu_);
+      if (queue_.empty()) return;  // closed and drained
+      request = std::move(queue_.front());
+      queue_.pop_front();
+      --queued_[static_cast<std::size_t>(class_of(request.type))];
     }
-    if (any) continue;
-    // Idle: park briefly on the home class (staggered by rank, so every
-    // class has a preferred waiter) — pop_until_closed is what tells
-    // "empty right now" (keep multiplexing) from "closed and drained"
-    // (this class is finished for good).
-    std::size_t c = home;
-    while (drained[c]) c = (c + 1) % kNumClasses;
-    std::shared_ptr<PendingRequest> request;
-    switch (queues_[c]->pop_until_closed(request,
-                                         std::chrono::milliseconds(2))) {
-      case ChannelPopStatus::kItem:
-        process(*request);
-        break;
-      case ChannelPopStatus::kClosed:
-        drained[c] = true;
-        ++num_drained;
-        break;
-      case ChannelPopStatus::kTimedOut:
-        break;
-    }
+    process(request);
   }
 }
 
@@ -353,7 +346,7 @@ void Server::process(const PendingRequest& request) {
       std::chrono::duration<double, std::milli>(finished - picked_up).count());
 
   if (status == Status::kOk) {
-    counters_[cls].completed.fetch_add(1, std::memory_order_relaxed);
+    counters_[cls].completed.fetch_add(1, std::memory_order_release);
     latency_ms_[cls]->record(std::chrono::duration<double, std::milli>(
                                  finished - request.enqueued)
                                  .count());
@@ -363,7 +356,7 @@ void Server::process(const PendingRequest& request) {
     auto& counter = status == Status::kBadRequest
                         ? counters_[cls].rejected_bad
                         : counters_[cls].internal_errors;
-    counter.fetch_add(1, std::memory_order_relaxed);
+    counter.fetch_add(1, std::memory_order_release);
     respond_error(*request.session, request.type, status, request.request_id,
                   error);
   }
@@ -397,9 +390,13 @@ void Server::wait() {
       if (session->reader.joinable()) session->reader.join();
     }
   }
-  // No reader is pushing any more: close the channels so the workers'
-  // pop_until_closed reports kClosed once each queue is drained...
-  for (auto& queue : queues_) queue->close();
+  // No reader is admitting any more: close the queue so the workers
+  // exit once it is empty...
+  {
+    MutexLock lock(queue_mu_);
+    queue_closed_ = true;
+  }
+  queue_cv_.notify_all();
   // ...and every accepted request has been answered once they exit.
   if (worker_host_.joinable()) worker_host_.join();
   {
@@ -421,18 +418,25 @@ ServerStats Server::stats() const {
     out.classes[c].p95_ms = lat.quantile(0.95);
     out.classes[c].p99_ms = lat.quantile(0.99);
   }
+  {
+    MutexLock lock(queue_mu_);
+    for (std::size_t c = 0; c < kNumClasses; ++c) {
+      out.classes[c].depth_high_water = high_water_[c];
+    }
+  }
   for (std::size_t c = 0; c < kNumClasses; ++c) {
     const ClassCounters& k = counters_[c];
+    // Outcomes first (acquire, pairing with process()'s release), then
+    // accepted: admit() counts a request before a worker can pop it, so
+    // a live snapshot never shows more answered than accepted.
+    out.classes[c].completed = k.completed.load(std::memory_order_acquire);
+    out.classes[c].rejected_bad =
+        k.rejected_bad.load(std::memory_order_acquire);
+    out.classes[c].internal_errors =
+        k.internal_errors.load(std::memory_order_acquire);
     out.classes[c].accepted = k.accepted.load(std::memory_order_relaxed);
-    out.classes[c].completed = k.completed.load(std::memory_order_relaxed);
     out.classes[c].rejected_overloaded =
         k.rejected_overloaded.load(std::memory_order_relaxed);
-    out.classes[c].rejected_bad =
-        k.rejected_bad.load(std::memory_order_relaxed);
-    out.classes[c].internal_errors =
-        k.internal_errors.load(std::memory_order_relaxed);
-    out.classes[c].depth_high_water =
-        static_cast<std::uint32_t>(queues_[c]->high_water());
   }
   out.sessions_accepted = sessions_accepted_->value();
   out.malformed_frames = malformed_frames_->value();

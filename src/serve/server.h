@@ -1,30 +1,32 @@
 // The snapshot-serving daemon behind `ebvpart serve`: a unix-domain
 // stream listener whose sessions decode EBVQ frames (serve/protocol.h)
-// and push them through per-class admission queues onto a
+// and admit them to one arrival-order queue drained by a
 // ThreadPool::run_team worker team.
 //
 // Admission control is the serving-side twin of the runtime's bounded
-// residency budget: each RequestClass owns a BoundedChannel with an
-// independent depth limit, so an expensive class (kRun) backing up
-// cannot grow memory without bound or starve the cheap lookup classes —
-// a request that finds its class queue full is rejected immediately
-// with Status::kOverloaded instead of being buffered. kPing never
-// queues (answered inline by the session reader), so health checks stay
-// responsive under full load.
+// residency budget: each RequestClass has an independent depth limit on
+// its share of the queue, so an expensive class (kRun) backing up
+// cannot grow memory without bound or crowd the cheap lookup classes
+// out of admission — a request whose class is at its limit is rejected
+// immediately with Status::kOverloaded instead of being buffered. kPing
+// never queues (answered inline by the session reader), so health
+// checks stay responsive under full load. Idle workers wait on one
+// condition variable that every admission signals, and a free worker
+// takes the oldest accepted request of any class.
 //
 // Shutdown is a graceful drain (request_stop(), typically from
 // SIGTERM): new requests are answered kShuttingDown, the listener
-// closes, session readers are unblocked via shutdown(SHUT_RD), the
-// admission channels close, and the worker team finishes every request
-// it already accepted — BoundedChannel::pop_until_closed() is what lets
-// a worker multiplexing five queues tell "idle" from "closed and fully
-// drained". Every accepted request gets exactly one response.
+// closes, session readers are unblocked via shutdown(SHUT_RD) and
+// joined, and only then does the queue close — so admission never sees
+// a closed queue, and a worker exits only once the queue is closed AND
+// empty. Every accepted request gets exactly one response.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <span>
 #include <memory>
 #include <string>
@@ -32,7 +34,6 @@
 #include <vector>
 
 #include "common/sync.h"
-#include "common/task_graph.h"
 #include "common/thread_annotations.h"
 #include "obs/metrics.h"
 #include "serve/handlers.h"
@@ -42,17 +43,18 @@ namespace ebv::serve {
 
 struct ServerConfig {
   std::string socket_path;
-  /// Worker team size for request execution.
+  /// Worker team size for request execution. At least 1.
   std::uint32_t num_workers = 2;
-  /// Admission-queue depth per RequestClass (indexed by RequestClass).
-  /// Cheap lookup classes get deeper queues than per-request analytics.
+  /// Most queued requests per RequestClass (indexed by RequestClass);
+  /// each at least 1. Cheap lookup classes get deeper limits than
+  /// per-request analytics.
   std::array<std::uint32_t, kNumClasses> queue_depth = {64, 256, 64, 256, 8};
+  /// Concurrent session cap. At least 1.
   std::uint32_t max_sessions = 64;
 };
 
 /// Monotonic per-class counters (latencies live in the server's metrics
-/// registry; the admission queue's high-water depth lives in its
-/// BoundedChannel).
+/// registry; the queue high-water depth is counted under the queue lock).
 struct ClassCounters {
   std::atomic<std::uint64_t> accepted{0};
   std::atomic<std::uint64_t> completed{0};
@@ -68,8 +70,8 @@ struct ClassStats {
   std::uint64_t rejected_overloaded = 0;
   std::uint64_t rejected_bad = 0;
   std::uint64_t internal_errors = 0;
-  /// Most requests the class's admission queue ever held at once
-  /// (BoundedChannel::high_water, so never above its queue_depth).
+  /// Most requests of the class the admission queue ever held at once
+  /// (never above its queue_depth).
   std::uint32_t depth_high_water = 0;
   double p50_ms = 0.0;
   double p95_ms = 0.0;
@@ -90,6 +92,8 @@ class Server {
  public:
   /// Binds and listens on config.socket_path (unlinking a stale socket
   /// first) and starts the acceptor + worker team. Throws
+  /// std::invalid_argument, before touching the socket, when
+  /// num_workers, max_sessions or any queue_depth is 0, and
   /// std::runtime_error with errno detail on socket failures.
   Server(ServeContext context, ServerConfig config);
 
@@ -104,7 +108,7 @@ class Server {
   void request_stop();
 
   /// Block until the drain completed (listener closed, sessions joined,
-  /// queues drained, workers exited, socket unlinked).
+  /// queue drained, workers exited, socket unlinked).
   void wait();
 
   [[nodiscard]] const std::string& socket_path() const {
@@ -147,7 +151,12 @@ class Server {
 
   void accept_loop();
   void session_loop(const std::shared_ptr<Session>& session);
-  void worker_loop(unsigned rank);
+  /// Queues `request` and wakes one idle worker, or returns false
+  /// (nothing counted or queued) when its class is at its queue_depth.
+  bool admit(PendingRequest request, std::size_t cls)
+      EBV_EXCLUDES(queue_mu_);
+  /// Takes the oldest queued request until the queue is closed and empty.
+  void worker_loop() EBV_EXCLUDES(queue_mu_);
   void process(const PendingRequest& request);
   /// Drops joined, fd-closed sessions from the table.
   void reap_finished_sessions() EBV_REQUIRES(sessions_mu_);
@@ -171,9 +180,17 @@ class Server {
   ServerConfig config_;
   int listen_fd_ = -1;
 
-  std::array<std::unique_ptr<BoundedChannel<std::shared_ptr<PendingRequest>>>,
-             kNumClasses>
-      queues_;
+  /// The admission queue: accepted requests of every class in arrival
+  /// order, with the per-class depth and high-water counted under the
+  /// same lock, so the limit check, the push and the pop never race.
+  mutable Mutex queue_mu_;
+  CondVar queue_cv_;  // signalled on every push and on close
+  std::deque<PendingRequest> queue_ EBV_GUARDED_BY(queue_mu_);
+  std::array<std::uint32_t, kNumClasses> queued_
+      EBV_GUARDED_BY(queue_mu_) = {};
+  std::array<std::uint32_t, kNumClasses> high_water_
+      EBV_GUARDED_BY(queue_mu_) = {};
+  bool queue_closed_ EBV_GUARDED_BY(queue_mu_) = false;
   std::array<ClassCounters, kNumClasses> counters_;
 
   /// Latency + session instruments live in the registry (folded there so

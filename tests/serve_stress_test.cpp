@@ -1,20 +1,24 @@
 // Concurrency battery for the serve daemon, runs under TSan in CI: N
 // client threads fire mixed query classes at an in-process server with
-// deliberately tiny admission queues. Pins the admission-control
+// deliberately tiny per-class queue depths. Pins the admission-control
 // contract: the per-class queue depth never exceeds its configured
 // bound, overload is an explicit kOverloaded response (not a hang or a
-// drop), and every accepted request is answered exactly once — counted
-// on both the client side (each call returns or throws a typed error)
-// and the server side (accepted == completed + bad + errors after the
-// drain).
+// drop), every accepted request is answered exactly once — counted on
+// both the client side (each call returns or throws a typed error) and
+// the server side (accepted == completed + bad + errors after the
+// drain) — and an idle worker picks up a request of any class at once.
+// Also pins that a zero worker, session or depth setting is rejected
+// before the socket is bound.
 #include <gtest/gtest.h>
 
 #ifndef _WIN32
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,6 +28,8 @@
 #include "graph/graph.h"
 #include "graph/io.h"
 #include "graph/mapped_graph.h"
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
 #include "partition/registry.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
@@ -255,6 +261,80 @@ TEST(ServeStress, SessionCapIsEnforcedWithoutDeadlock) {
     third_refused = true;
   }
   EXPECT_TRUE(third_refused);
+}
+
+TEST(ServeStress, IdleWorkerPicksUpEveryClassAtOnce) {
+  // One worker and one client sending one request at a time: every
+  // request reaches an idle worker, which must take it on arrival,
+  // whatever its class.
+  ServerConfig config;
+  config.num_workers = 1;
+  StressRig rig(config);
+
+  constexpr std::uint64_t kRounds = 40;
+  Client client(rig.server->socket_path());
+  for (std::uint64_t i = 0; i < kRounds; ++i) {
+    DegreeRequest degree;
+    degree.vertices = {static_cast<VertexId>(i % 400)};
+    (void)client.degrees(degree);
+    NeighborsRequest hood;
+    hood.source = static_cast<VertexId>(i % 400);
+    hood.hops = 1;
+    hood.limit = 16;
+    (void)client.neighbors(hood);
+    PartitionRequest lookup;
+    lookup.edges = {i % 3000};
+    (void)client.partition_of(lookup);
+    (void)client.stats();
+  }
+
+  const std::vector<obs::Metric> metrics = rig.server->registry().snapshot();
+  for (const RequestClass cls : {RequestClass::kStats, RequestClass::kDegree,
+                                 RequestClass::kNeighbors,
+                                 RequestClass::kLookup}) {
+    const std::string name =
+        obs::suffixed(obs::names::kServeQueueWaitMs, class_name(cls));
+    const auto it = std::find_if(
+        metrics.begin(), metrics.end(),
+        [&](const obs::Metric& m) { return m.name == name; });
+    ASSERT_NE(it, metrics.end()) << name;
+    EXPECT_EQ(it->histogram.count, kRounds) << name;
+    EXPECT_LT(it->histogram.quantile(0.50), 1.0) << name;
+  }
+}
+
+TEST(ServeStress, ZeroConfigValueIsRejectedBeforeBinding) {
+  const std::string dir =
+      ::testing::TempDir() + "serve_config_" + process_unique_suffix();
+  fs::create_directories(dir);
+  ServerConfig valid;
+  valid.socket_path = dir + "/ebv-serve.test.sock";
+
+  const auto expect_rejected = [&](const ServerConfig& config,
+                                   const std::string& flag) {
+    try {
+      Server server(ServeContext{}, config);
+      ADD_FAILURE() << "a zero " << flag << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(flag), std::string::npos)
+          << e.what();
+    }
+    EXPECT_FALSE(fs::exists(config.socket_path)) << flag;
+  };
+  ServerConfig config = valid;
+  config.num_workers = 0;
+  expect_rejected(config, "--workers");
+  config = valid;
+  config.max_sessions = 0;
+  expect_rejected(config, "--max-sessions");
+  for (std::size_t c = 0; c < kNumClasses; ++c) {
+    config = valid;
+    config.queue_depth[c] = 0;
+    expect_rejected(config, "--queues");
+  }
+
+  std::error_code ec;
+  fs::remove_all(dir, ec);
 }
 
 }  // namespace

@@ -1,14 +1,12 @@
-// TaskGraph (work-stealing DAG execution, the BSP scheduler's substrate)
-// and BoundedChannel (the serve admission queues). Includes the
-// high-thread-count stress tests that hammer the steal and channel paths
-// (also run under TSan in CI).
+// TaskGraph (work-stealing DAG execution, the BSP scheduler's substrate).
+// Includes the high-thread-count stress tests that hammer the steal and
+// park paths (also run under TSan in CI).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "common/task_graph.h"
@@ -190,155 +188,6 @@ TEST(TaskGraphStress, LayeredFanOutFanIn) {
   }
   g.run(16);
   EXPECT_EQ(count.load(), std::uint64_t{kLayers / 2} * kWidth + kLayers / 2);
-}
-
-TEST(BoundedChannel, TryPushRespectsCapacity) {
-  BoundedChannel<int> ch(2);
-  EXPECT_TRUE(ch.try_push(1));
-  EXPECT_TRUE(ch.try_push(2));
-  EXPECT_FALSE(ch.try_push(3)) << "ring is full";
-  EXPECT_EQ(ch.high_water(), 2u);
-  int out = 0;
-  EXPECT_TRUE(ch.try_pop(out));
-  EXPECT_EQ(out, 1);
-  EXPECT_TRUE(ch.try_push(3)) << "slot freed";
-  EXPECT_EQ(ch.high_water(), 2u) << "a refill never exceeds the capacity";
-  EXPECT_TRUE(ch.try_pop(out));
-  EXPECT_EQ(out, 2);
-  EXPECT_TRUE(ch.try_pop(out));
-  EXPECT_EQ(out, 3);
-  EXPECT_FALSE(ch.try_pop(out));
-}
-
-TEST(BoundedChannel, PopUntilClosedReturnsItemWhenAvailable) {
-  BoundedChannel<int> ch(4);
-  ASSERT_TRUE(ch.try_push(7));
-  int out = 0;
-  EXPECT_EQ(ch.pop_until_closed(out, std::chrono::milliseconds(0)),
-            ChannelPopStatus::kItem);
-  EXPECT_EQ(out, 7);
-}
-
-TEST(BoundedChannel, PopUntilClosedTimesOutOnOpenEmptyChannel) {
-  // The regression this API exists for: a worker blocked on an empty
-  // queue must bound its wait, or it could not multiplex several queues
-  // or notice a drain request.
-  BoundedChannel<int> ch(4);
-  int out = 0;
-  EXPECT_EQ(ch.pop_until_closed(out, std::chrono::milliseconds(1)),
-            ChannelPopStatus::kTimedOut);
-  EXPECT_FALSE(ch.closed());
-}
-
-TEST(BoundedChannel, PopUntilClosedDrainsBacklogBeforeReportingClosed) {
-  // Items accepted before close() must still be delivered: kClosed means
-  // closed AND drained, never "closed, items dropped".
-  BoundedChannel<int> ch(4);
-  ASSERT_TRUE(ch.try_push(1));
-  ASSERT_TRUE(ch.try_push(2));
-  ch.close();
-  int out = 0;
-  EXPECT_EQ(ch.pop_until_closed(out, std::chrono::milliseconds(0)),
-            ChannelPopStatus::kItem);
-  EXPECT_EQ(out, 1);
-  EXPECT_EQ(ch.pop_until_closed(out, std::chrono::milliseconds(0)),
-            ChannelPopStatus::kItem);
-  EXPECT_EQ(out, 2);
-  EXPECT_EQ(ch.pop_until_closed(out, std::chrono::milliseconds(0)),
-            ChannelPopStatus::kClosed);
-  // And it stays kClosed on every subsequent call.
-  EXPECT_EQ(ch.pop_until_closed(out, std::chrono::milliseconds(0)),
-            ChannelPopStatus::kClosed);
-}
-
-TEST(BoundedChannel, CloseWakesPopUntilClosedBeforeTimeout) {
-  // A worker parked with a long timeout must observe close() promptly —
-  // the drain path cannot afford to wait out the full timeout.
-  BoundedChannel<int> ch(4);
-  std::atomic<bool> done{false};
-  std::thread consumer([&] {
-    int out = 0;
-    // Hours-long timeout: only close() can end this wait in test time.
-    EXPECT_EQ(ch.pop_until_closed(out, std::chrono::milliseconds(3'600'000)),
-              ChannelPopStatus::kClosed);
-    done.store(true);
-  });
-  ch.close();
-  consumer.join();
-  EXPECT_TRUE(done.load());
-  EXPECT_FALSE(ch.try_push(1)) << "closed channel rejects pushes";
-}
-
-TEST(BoundedChannelStress, ManyProducersOneConsumer) {
-  // The serve admission pattern: producers retry try_push on a full
-  // ring, one consumer parks in pop_until_closed, and close() after the
-  // last push must still deliver the backlog. Far over capacity, so the
-  // full-ring and wakeup paths run constantly.
-  constexpr int kProducers = 8;
-  constexpr int kPerProducer = 5'000;
-  BoundedChannel<int> ch(64);
-  std::vector<std::thread> producers;
-  producers.reserve(kProducers);
-  for (int pr = 0; pr < kProducers; ++pr) {
-    producers.emplace_back([&] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        while (!ch.try_push(i)) std::this_thread::yield();
-      }
-    });
-  }
-  std::thread closer([&] {
-    for (auto& t : producers) t.join();
-    ch.close();
-  });
-  std::uint64_t popped = 0;
-  std::uint64_t sum = 0;
-  int v = 0;
-  for (;;) {
-    const ChannelPopStatus status =
-        ch.pop_until_closed(v, std::chrono::milliseconds(10));
-    if (status == ChannelPopStatus::kClosed) break;
-    if (status == ChannelPopStatus::kItem) {
-      ++popped;
-      sum += static_cast<std::uint64_t>(v);
-    }
-  }
-  closer.join();
-  EXPECT_EQ(popped, std::uint64_t{kProducers} * kPerProducer);
-  EXPECT_EQ(sum, std::uint64_t{kProducers} * (std::uint64_t{kPerProducer} *
-                                              (kPerProducer - 1) / 2));
-}
-
-TEST(BoundedChannelStress, TryPathsUnderContention) {
-  // Lossless non-blocking traffic: producers spin on try_push, a consumer
-  // spins on try_pop, as a serve worker sweeps its queues.
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 10'000;
-  BoundedChannel<std::uint32_t> ch(32);
-  std::atomic<std::uint64_t> produced_sum{0};
-  std::vector<std::thread> producers;
-  producers.reserve(kProducers);
-  for (int pr = 0; pr < kProducers; ++pr) {
-    producers.emplace_back([&, pr] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        const auto v = static_cast<std::uint32_t>(pr * kPerProducer + i);
-        while (!ch.try_push(v)) std::this_thread::yield();
-        produced_sum.fetch_add(v, std::memory_order_relaxed);
-      }
-    });
-  }
-  std::uint64_t consumed_sum = 0;
-  std::uint64_t popped = 0;
-  while (popped < std::uint64_t{kProducers} * kPerProducer) {
-    std::uint32_t v = 0;
-    if (ch.try_pop(v)) {
-      ++popped;
-      consumed_sum += v;
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  for (auto& t : producers) t.join();
-  EXPECT_EQ(consumed_sum, produced_sum.load());
 }
 
 }  // namespace
