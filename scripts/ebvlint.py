@@ -78,7 +78,6 @@ RULES = [
             "src/partition/partition_io.cpp",
             "src/bsp/checkpoint.cpp",
             "src/bsp/spill_store.cpp",
-            "src/bsp/mailbox.h",
             "src/serve/protocol.cpp",
         }),
     ),
@@ -111,7 +110,6 @@ RULES = [
             "src/partition/partition_io.cpp",
             "src/bsp/checkpoint.cpp",
             "src/bsp/spill_store.cpp",
-            "src/bsp/mailbox.h",
         }),
     ),
     Rule(

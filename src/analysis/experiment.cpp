@@ -143,31 +143,28 @@ ExperimentResult run_with_partition(const GraphView& graph,
   // to the all-resident path. A budget of 0 or >= p cannot bound
   // anything (the runtime would immediately materialise every worker),
   // so it stays on the plain resident path and pays no spill I/O;
-  // spill_dir alone only picks WHERE spill state goes, it does not
+  // spill_dir alone only picks WHERE the EBVW snapshot goes, it does not
   // enable spilling.
   const bool spill = options.resident_workers > 0 &&
                      options.resident_workers < partition.num_parts;
+  const bsp::BspRuntime runtime(options);
   if (!spill) {
     const bsp::DistributedGraph dist(graph, partition);
-    const bsp::BspRuntime runtime(options);
     result.run = run_app(runtime, dist, graph, app, pagerank_iterations);
     return result;
   }
 
   namespace fs = std::filesystem;
-  bsp::RunOptions run_options = options;
   const fs::path dir = options.spill_dir.empty()
                            ? fs::temp_directory_path()
                            : fs::path(options.spill_dir);
   std::error_code ec;
   fs::create_directories(dir, ec);  // best-effort; open errors report below
-  run_options.spill_dir = dir.string();
   SpillFileGuard guard{
       (dir / ("ebv-workers." + process_unique_suffix() + ".ebvw")).string()};
 
   const bsp::DistributedGraph dist(graph, partition,
                                    {.spill_path = guard.path});
-  const bsp::BspRuntime runtime(run_options);
   result.run = run_app(runtime, dist, graph, app, pagerank_iterations);
   return result;
 }

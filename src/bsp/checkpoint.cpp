@@ -28,7 +28,7 @@ using io::detail::put_field;
 
 // Header field offsets within the 4 KiB header page (docs/FORMATS.md).
 constexpr char kMagic[4] = {'E', 'B', 'V', 'C'};
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;
 constexpr std::size_t kHeaderBytes = 4096;
 
 constexpr std::size_t kOffMagic = 0;
@@ -65,21 +65,15 @@ enum Array : std::size_t {
   kArrValues = 0,
   kArrLastSync = 1,
   kArrUpdated = 2,
-  kArrToMasterGlobal = 3,
-  kArrToMasterValue = 4,
-  kArrToMirrorGlobal = 5,
-  kArrToMirrorValue = 6,
-  kNumWorkerArrays = 7,
+  kNumWorkerArrays = 3,
 };
 
 struct WorkerEntry {
   std::uint64_t num_vertices = 0;
   std::uint64_t num_updated = 0;
-  std::uint64_t num_to_master = 0;
-  std::uint64_t num_to_mirror = 0;
   std::uint64_t off[kNumWorkerArrays] = {};
 };
-static_assert(sizeof(WorkerEntry) == 88, "EBVC worker table entry layout");
+static_assert(sizeof(WorkerEntry) == 40, "EBVC worker table entry layout");
 
 [[noreturn]] void fail(const std::string& what) {
   throw std::runtime_error("EBVC: " + what);
@@ -129,14 +123,6 @@ Layout compute_layout(PartitionId num_workers, std::uint32_t supersteps,
     off += 8 * e.num_vertices;
     e.off[kArrUpdated] = off;
     off += align8(4 * e.num_updated);
-    e.off[kArrToMasterGlobal] = off;
-    off += align8(4 * e.num_to_master);
-    e.off[kArrToMasterValue] = off;
-    off += 8 * e.num_to_master;
-    e.off[kArrToMirrorGlobal] = off;
-    off += align8(4 * e.num_to_mirror);
-    e.off[kArrToMirrorValue] = off;
-    off += 8 * e.num_to_mirror;
   }
   layout.table_offset = off;
   layout.table_bytes = static_cast<std::uint64_t>(sizeof(WorkerEntry)) *
@@ -159,9 +145,7 @@ class ChecksumWriter {
   }
 
   /// Write a u32 array followed by the 0/4-byte pad to 8 alignment.
-  template <typename T>
-  void put_u32_array(const std::vector<T>& v) {
-    static_assert(sizeof(T) == 4);
+  void put_u32_array(const std::vector<VertexId>& v) {
     put(v.data(), v.size() * 4);
     if (v.size() % 2 != 0) {
       const std::uint32_t zero = 0;
@@ -218,28 +202,10 @@ void serialise_to(const std::string& path, const Checkpoint& ckpt,
   for (const std::vector<WorkerStepStats>& row : ckpt.steps) {
     w.put(row.data(), row.size() * sizeof(WorkerStepStats));
   }
-  // Scratch split of WireMessage arrays into id/value columns (a raw
-  // WireMessage dump would checkpoint 4 padding bytes per message).
-  std::vector<VertexId> ids;
-  std::vector<Value> vals;
-  const auto put_messages = [&](const std::vector<WireMessage>& msgs) {
-    ids.clear();
-    vals.clear();
-    ids.reserve(msgs.size());
-    vals.reserve(msgs.size());
-    for (const WireMessage& m : msgs) {
-      ids.push_back(m.global);
-      vals.push_back(m.value);
-    }
-    w.put_u32_array(ids);
-    w.put(vals.data(), vals.size() * 8);
-  };
   for (PartitionId i = 0; i < p; ++i) {
     w.put(ckpt.values[i].data(), ckpt.values[i].size() * 8);
     w.put(ckpt.last_sync[i].data(), ckpt.last_sync[i].size() * 8);
     w.put_u32_array(ckpt.updated[i]);
-    put_messages(ckpt.to_master[i]);
-    put_messages(ckpt.to_mirror[i]);
   }
   w.put(layout.table.data(), layout.table.size() * sizeof(WorkerEntry));
   w.put_trailing_checksum();
@@ -317,8 +283,7 @@ std::string write_checkpoint(const std::string& dir, const Checkpoint& ckpt) {
   const PartitionId p = ckpt.num_workers;
   EBV_REQUIRE(p >= 1, "checkpoint needs at least one worker");
   EBV_REQUIRE(ckpt.values.size() == p && ckpt.last_sync.size() == p &&
-                  ckpt.updated.size() == p && ckpt.to_master.size() == p &&
-                  ckpt.to_mirror.size() == p &&
+                  ckpt.updated.size() == p &&
                   ckpt.messages_sent_per_worker.size() == p,
               "checkpoint per-worker arrays must cover every worker");
   EBV_REQUIRE(ckpt.steps.size() == ckpt.completed_supersteps,
@@ -335,8 +300,6 @@ std::string write_checkpoint(const std::string& dir, const Checkpoint& ckpt) {
   for (PartitionId i = 0; i < p; ++i) {
     counts[i].num_vertices = ckpt.values[i].size();
     counts[i].num_updated = ckpt.updated[i].size();
-    counts[i].num_to_master = ckpt.to_master[i].size();
-    counts[i].num_to_mirror = ckpt.to_mirror[i].size();
   }
   const Layout layout = compute_layout(p, ckpt.completed_supersteps, counts);
 
@@ -449,8 +412,7 @@ Checkpoint read_checkpoint_file(const std::string& path) {
   std::memcpy(table.data(), base + table_offset,
               static_cast<std::size_t>(table_bytes));
   for (const WorkerEntry& e : table) {
-    if (e.num_vertices > budget / 8 || e.num_updated > budget / 4 ||
-        e.num_to_master > budget / 8 || e.num_to_mirror > budget / 8) {
+    if (e.num_vertices > budget / 8 || e.num_updated > budget / 4) {
       fail("worker array count exceeds the file");
     }
   }
@@ -485,20 +447,6 @@ Checkpoint read_checkpoint_file(const std::string& path) {
   ckpt.values.resize(p);
   ckpt.last_sync.resize(p);
   ckpt.updated.resize(p);
-  ckpt.to_master.resize(p);
-  ckpt.to_mirror.resize(p);
-  const auto read_messages = [&](const WorkerEntry& e, Array ids_sec,
-                                 Array vals_sec, std::uint64_t n,
-                                 std::vector<WireMessage>& out) {
-    const auto* ids =
-        reinterpret_cast<const VertexId*>(base + e.off[ids_sec]);
-    const auto* vals = reinterpret_cast<const Value*>(base + e.off[vals_sec]);
-    out.resize(static_cast<std::size_t>(n));
-    for (std::uint64_t m = 0; m < n; ++m) {
-      out[m].global = ids[m];
-      out[m].value = vals[m];
-    }
-  };
   for (PartitionId i = 0; i < p; ++i) {
     const WorkerEntry& e = table[i];
     const auto nv = static_cast<std::size_t>(e.num_vertices);
@@ -515,10 +463,6 @@ Checkpoint read_checkpoint_file(const std::string& path) {
     for (const VertexId lv : ckpt.updated[i]) {
       if (lv >= e.num_vertices) fail("frontier vertex out of range");
     }
-    read_messages(e, kArrToMasterGlobal, kArrToMasterValue, e.num_to_master,
-                  ckpt.to_master[i]);
-    read_messages(e, kArrToMirrorGlobal, kArrToMirrorValue, e.num_to_mirror,
-                  ckpt.to_mirror[i]);
   }
   return ckpt;
 }

@@ -1,12 +1,12 @@
 // Crash-consistent superstep checkpoints (EBVC files).
 //
-// The BSP superstep barrier is a textbook consistent cut: when a
-// superstep's install phase has completed, no message is in flight
-// between workers except what the runtime parked in mailboxes, and every
-// worker's per-vertex state is a plain array. A checkpoint taken at the
-// barrier therefore needs only: per-worker values, last-synced values,
-// the update frontier, any undrained mailbox contents (spilled-file
-// prefix included), and the accumulated RunStats — restoring them and
+// The BSP superstep barrier is a textbook consistent cut: replica
+// synchronisation finishes inside the superstep, so when its install
+// phase has completed no message is in flight between workers (the
+// runtime asserts every inbox empty at the barrier), and every worker's
+// per-vertex state is a plain array. A checkpoint taken at the barrier
+// therefore needs only: per-worker values, last-synced values, the
+// update frontier, and the accumulated RunStats — restoring them and
 // re-entering the superstep loop reproduces the uninterrupted run
 // BIT-IDENTICALLY (values, supersteps, message counts, virtual time) at
 // every resident_workers × prefetch × team-size combination.
@@ -34,13 +34,6 @@
 #include "bsp/runtime.h"
 
 namespace ebv::bsp {
-
-/// One value in flight between two workers — the runtime's wire unit,
-/// serialised into checkpoints as the undrained-mailbox sections.
-struct WireMessage {
-  VertexId global = kInvalidVertex;
-  Value value = 0.0;
-};
 
 /// Everything the runtime needs to re-enter the superstep loop at the
 /// cut after `completed_supersteps` barriers.
@@ -74,11 +67,6 @@ struct Checkpoint {
   std::vector<std::vector<Value>> last_sync;
   /// The update frontier: local vertices changed by the last install.
   std::vector<std::vector<VertexId>> updated;
-  // Undrained mailbox contents in append order (empty at a quiescent
-  // barrier; serialised regardless so the format never depends on that
-  // invariant holding).
-  std::vector<std::vector<WireMessage>> to_master;
-  std::vector<std::vector<WireMessage>> to_mirror;
 };
 
 /// "ckpt-00000042.ebvc" for completed_supersteps = 42 (zero-padded so

@@ -12,19 +12,21 @@
 #include <vector>
 
 #include "bsp/checkpoint.h"
-#include "bsp/mailbox.h"
 #include "common/assert.h"
 #include "common/failpoint.h"
 #include "common/parallel.h"
 #include "common/task_graph.h"
 #include "common/timer.h"
-#include "common/unique_id.h"
 #include "obs/trace.h"
 
 namespace ebv::bsp {
 namespace {
 
-using MsgBox = SpillMailbox<WireMessage>;
+/// One value in flight between two workers within a superstep.
+struct WireMessage {
+  VertexId global = kInvalidVertex;
+  Value value = 0.0;
+};
 
 /// Relaxed add for the phase-wall accumulators (tasks of the same phase
 /// run concurrently under kParallel).
@@ -211,10 +213,11 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
   std::vector<std::vector<std::uint8_t>> has_acc(p);
   std::vector<std::vector<VertexId>> emitted(p);
   std::vector<std::vector<VertexId>> updated(p);   // frontier after sync
-  // last_sync[i][lv]: the value of a replicated vertex as of the last
-  // replica synchronisation. Masters broadcast whenever the merged value
-  // diverges from it — comparing against the *current* value would miss
-  // improvements the master made in-place during local compute.
+  // last_sync[m][lv]: at a master replica, the value its mirrors last
+  // received. Masters broadcast whenever the merged value diverges from
+  // it — comparing against the *current* value would miss improvements
+  // the master made in-place during local compute. Mirror entries keep
+  // their initial value and are never read.
   std::vector<std::vector<Value>> last_sync(p);
   for_each_group([&](PartitionId first, PartitionId last) {
     for (PartitionId i = first; i < last; ++i) {
@@ -229,27 +232,15 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
     }
   });
 
-  // Mailboxes: to_master[j] / to_mirror[j] hold messages addressed to
-  // worker j. File overflow engages only under a bounded budget with a
-  // spill directory; combining keeps the to-master boxes in memory
-  // (their pending messages must stay rewritable, and combining itself
-  // bounds them at one entry per replicated vertex).
-  std::vector<MsgBox> to_master(p);
-  std::vector<MsgBox> to_mirror(p);
-  if (bounded && !options_.spill_dir.empty()) {
-    const std::string prefix =
-        options_.spill_dir + "/ebv-mbox." + process_unique_suffix() + ".";
-    for (PartitionId j = 0; j < p; ++j) {
-      if (!options_.combine_messages) {
-        to_master[j].configure(prefix + "ma" + std::to_string(j) + ".tmp",
-                               options_.mailbox_buffer_messages);
-      }
-      to_mirror[j].configure(prefix + "mi" + std::to_string(j) + ".tmp",
-                             options_.mailbox_buffer_messages);
-    }
-  }
+  // Inboxes: to_master[j] / to_mirror[j] hold the messages addressed to
+  // worker j. merge(j) and install(j) consume them in append order and
+  // clear them within the superstep, so no message crosses a barrier
+  // (asserted there). Per superstep an inbox holds at most one message
+  // per mirror replica, so it needs no bound of its own.
+  std::vector<std::vector<WireMessage>> to_master(p);
+  std::vector<std::vector<WireMessage>> to_mirror(p);
   // Combining state: pending[j] maps a global vertex to its message's
-  // index in to_master[j]'s buffer for the current superstep.
+  // index in to_master[j] for the current superstep.
   std::vector<std::unordered_map<VertexId, std::size_t>> pending(
       options_.combine_messages ? p : 0);
 
@@ -294,14 +285,6 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
     ck.values = values;
     ck.last_sync = last_sync;
     ck.updated = updated;
-    ck.to_master.resize(p);
-    ck.to_mirror.resize(p);
-    for (PartitionId j = 0; j < p; ++j) {
-      to_master[j].for_each(
-          [&](const WireMessage& msg) { ck.to_master[j].push_back(msg); });
-      to_mirror[j].for_each(
-          [&](const WireMessage& msg) { ck.to_mirror[j].push_back(msg); });
-    }
     return ck;
   };
 
@@ -341,12 +324,6 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
         values[i] = std::move(ck->values[i]);
         last_sync[i] = std::move(ck->last_sync[i]);
         updated[i] = std::move(ck->updated[i]);
-        for (const WireMessage& msg : ck->to_master[i]) {
-          to_master[i].push(msg);
-        }
-        for (const WireMessage& msg : ck->to_mirror[i]) {
-          to_mirror[i].push(msg);
-        }
       }
       if (start_step > 0) {
         // Programs rebuild their per-worker scratch; the throwaway
@@ -445,7 +422,7 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
     };
 
     // route(i): ship mirror accumulators to their master parts. These
-    // run on an ascending ordering chain so every to-master mailbox sees
+    // run on an ascending ordering chain so every to-master inbox sees
     // the historical append order.
     auto route_worker = [&](PartitionId i) {
       const obs::trace::Span span("route", i);
@@ -461,15 +438,15 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
         if (options_.combine_messages) {
           // A message for gv already pending at m? Merge into it.
           const auto [it, inserted] =
-              pending[m].try_emplace(gv, to_master[m].buffer().size());
+              pending[m].try_emplace(gv, to_master[m].size());
           if (!inserted) {
-            WireMessage& msg = to_master[m].buffer()[it->second];
+            WireMessage& msg = to_master[m][it->second];
             msg.value = program.combine(msg.value, acc[i][lv]);
             enqueue = false;
           }
         }
         if (enqueue) {
-          to_master[m].push({gv, acc[i][lv]});
+          to_master[m].push_back({gv, acc[i][lv]});
           count_send(i, m);
         }
         has_acc[i][lv] = 0;
@@ -487,7 +464,7 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
         for (const PartitionId peer : graph.parts_of(msg.global)) {
           if (peer == m) continue;
           ++raw[m];
-          to_mirror[peer].push(msg);
+          to_mirror[peer].push_back(msg);
           count_send(m, peer);
         }
       }
@@ -501,7 +478,7 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
       const PhaseTimer phase(options_.phase_stats ? &phase_accum.merge
                                                   : nullptr);
       const LocalSubgraph& ls = sub(m);
-      to_master[m].drain([&](const WireMessage& msg) {
+      for (const WireMessage& msg : to_master[m]) {
         const VertexId lv = ls.local_of(msg.global);
         EBV_ASSERT(lv != kInvalidVertex);
         EBV_ASSERT(ls.is_master[lv] != 0);
@@ -512,7 +489,8 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
           has_acc[m][lv] = 1;
           emitted[m].push_back(lv);
         }
-      });
+      }
+      to_master[m].clear();
       if (options_.combine_messages) pending[m].clear();
 
       for (const VertexId lv : emitted[m]) {
@@ -545,16 +523,16 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
       const PhaseTimer phase(options_.phase_stats ? &phase_accum.install
                                                   : nullptr);
       const LocalSubgraph& ls = sub(i);
-      to_mirror[i].drain([&](const WireMessage& msg) {
+      for (const WireMessage& msg : to_mirror[i]) {
         const VertexId lv = ls.local_of(msg.global);
         EBV_ASSERT(lv != kInvalidVertex);
-        last_sync[i][lv] = msg.value;
         if (values[i][lv] != msg.value) {
           values[i][lv] = msg.value;
           updated[i].push_back(lv);
           changed[i] = 1;
         }
-      });
+      }
+      to_mirror[i].clear();
       emitted[i].clear();  // all consumed (mirrors cleared acc in route)
     };
 
@@ -689,8 +667,12 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
     }
 
     // --- Stage 3: synchronisation (reduction + accounting) --------------
+    // Replica synchronisation finished inside the superstep: merge and
+    // install emptied every inbox, so no message crosses the barrier and
+    // a checkpoint here needs none.
     bool any_change = false;
     for (PartitionId i = 0; i < p; ++i) {
+      EBV_ASSERT(to_master[i].empty() && to_mirror[i].empty());
       if (changed[i] != 0) any_change = true;
       step_stats[i].messages_sent = sent[i];
       step_stats[i].messages_received = received[i];

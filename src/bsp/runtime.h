@@ -16,14 +16,16 @@
 //
 // Residency: with RunOptions::resident_workers = k < p the runtime holds
 // at most k materialised worker subgraphs at a time (loading them from a
-// spilled DistributedGraph's EBVW snapshot), parking inter-group messages
-// in spillable mailboxes — same results, bounded memory.
+// spilled DistributedGraph's EBVW snapshot) — same results, bounded
+// memory. Inter-group messages wait in in-memory inboxes until their
+// destination's merge or install task consumes them later in the same
+// superstep; no message ever crosses the superstep barrier.
 //
 // Scheduling: each superstep is a per-worker task graph — compute+route,
 // master-merge, mirror-install, plus loader/release tasks that prefetch
 // the next residency group while the current one computes — executed by
-// a work-stealing scheduler (common/task_graph.h). Mailbox appends run
-// on deterministic ordering chains, so supersteps, messages, values and
+// a work-stealing scheduler (common/task_graph.h). Inbox appends run on
+// deterministic ordering chains, so supersteps, messages, values and
 // virtual time are bit-identical to the historical three-sweep schedule
 // at every budget and team size (docs/ARCHITECTURE.md, "The task-graph
 // superstep scheduler").
@@ -182,7 +184,7 @@ struct RunStats {
 /// order; kParallel runs it on a work-stealing team of
 /// RunOptions::num_threads ranks (the whole shared pool when 0).
 /// Results and virtual-time accounting are identical under both: the
-/// route and broadcast chains fix every mailbox's append order whatever
+/// route and broadcast chains fix every inbox's append order whatever
 /// the steal schedule.
 enum class ExecutionPolicy { kSequential, kParallel };
 
@@ -210,32 +212,25 @@ struct RunOptions {
   /// pre-existing behaviour. With a budget of k < p each superstep's
   /// task graph gates compute/merge/install tasks on per-group loader
   /// and release tasks (at most k workers materialised; see prefetch),
-  /// with inter-group messages parked in mailboxes until the
-  /// destination becomes resident. Supersteps,
+  /// with inter-group messages held in memory until the destination
+  /// becomes resident later in the same superstep. Supersteps,
   /// message counts, final values and virtual-time accounting are
   /// BIT-IDENTICAL for every budget. Only a spilled DistributedGraph
   /// actually frees memory; a resident one just runs the same schedule.
   std::uint32_t resident_workers = 0;
 
-  /// Directory for runtime spill state: destination mailboxes that
-  /// outgrow mailbox_buffer_messages overflow to append-only files here
-  /// (created lazily, removed when drained). Empty = mailboxes stay
-  /// fully in memory. Also doubles as the analysis drivers' home for the
-  /// EBVW worker snapshot (see analysis::run_with_partition).
+  /// Where the analysis drivers put the EBVW worker snapshot of a
+  /// spilled run (see analysis::run_with_partition); empty = the system
+  /// temp directory. The runtime itself writes no file here.
   std::string spill_dir;
-
-  /// In-memory bound per destination mailbox before overflowing to a
-  /// spill file (needs spill_dir and a bounded residency budget;
-  /// otherwise mailboxes simply grow).
-  std::uint64_t mailbox_buffer_messages = 1u << 15;
 
   /// Crash consistency: when non-empty (and checkpoint_every > 0) the
   /// runtime serialises an EBVC checkpoint of the superstep cut into
   /// this directory at the configured cadence — per-worker values,
-  /// last-synced values, update frontier, undrained mailbox contents and
-  /// accumulated RunStats — under an atomic temp-fsync-rename protocol
-  /// (bsp/checkpoint.h). Never written after the final superstep, so a
-  /// resumed run never replays past convergence.
+  /// last-synced values, update frontier and accumulated RunStats —
+  /// under an atomic temp-fsync-rename protocol (bsp/checkpoint.h).
+  /// Never written after the final superstep, so a resumed run never
+  /// replays past convergence.
   std::string checkpoint_dir;
 
   /// Checkpoint cadence in supersteps; 0 disables checkpointing.
@@ -319,8 +314,8 @@ class WorkerContext {
 
   /// Local vertices whose values changed in the previous communication
   /// stage — the frontier for incremental programs. Its order (single-
-  /// copy resolutions, master merges, then mirror installs in mailbox
-  /// drain order) is part of the determinism contract
+  /// copy resolutions, master merges, then mirror installs in inbox
+  /// append order) is part of the determinism contract
   /// (docs/ARCHITECTURE.md, "Delivery order").
   [[nodiscard]] const std::vector<VertexId>& updated() const {
     return *updated_;

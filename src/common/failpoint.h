@@ -22,8 +22,6 @@
 //   section_io.mmap    MappedFile construction
 //   snapshot.write     EBVS SnapshotWriter::finish
 //   spill_store.write  EBVW SpillStoreWriter worker/table writes
-//   mailbox.append     mailbox overflow-file append
-//   mailbox.read       mailbox overflow-file drain (shortread)
 //   checkpoint.write   EBVC checkpoint serialisation (retried)
 //   checkpoint.rename  the atomic publish rename (retried)
 //   checkpoint.read    checkpoint load (shortread → torn-file fallback)

@@ -41,13 +41,6 @@ bool ends_with(const std::string& s, const std::string& suffix) {
 }  // namespace
 
 std::optional<long> temp_file_owner_pid(const std::string& file_name) {
-  // Mailbox overflow: ebv-mbox.<pid>-<n>.<chan>.tmp
-  if (file_name.rfind("ebv-mbox.", 0) == 0 && ends_with(file_name, ".tmp")) {
-    const std::size_t start = std::string("ebv-mbox.").size();
-    const std::size_t end = file_name.find('.', start);
-    if (end == std::string::npos) return std::nullopt;
-    return parse_suffix_token(file_name.substr(start, end - start));
-  }
   // Worker spill snapshot: ebv-workers.<pid>-<n>.ebvw
   if (file_name.rfind("ebv-workers.", 0) == 0 &&
       ends_with(file_name, ".ebvw")) {

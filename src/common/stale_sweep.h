@@ -3,8 +3,8 @@
 // Every transient file the system creates embeds the owner's
 // process_unique_suffix() ("<pid>-<n>"), so any other process can tell
 // whether the creator is still alive. A crashed or kill -9'd run leaves
-// its mailbox overflow files, EBVW worker snapshots, converter run files
-// and checkpoint temps behind; the run/convert entry points call
+// its EBVW worker snapshots, converter run files and checkpoint temps
+// behind; the run/convert entry points call
 // sweep_stale_temp_files() on their scratch directories before starting,
 // deleting exactly the recognised temp shapes whose owner pid is dead.
 #pragma once
@@ -15,8 +15,8 @@
 namespace ebv {
 
 /// If `file_name` (no directory) matches one of the temp-file shapes the
-/// system creates — `ebv-mbox.<pid>-<n>.<chan>.tmp`,
-/// `ebv-workers.<pid>-<n>.ebvw`, `<out>.run<k>.<pid>-<n>.tmp`,
+/// system creates — `ebv-workers.<pid>-<n>.ebvw`,
+/// `<out>.run<k>.<pid>-<n>.tmp`,
 /// `<ckpt>.ebvc.tmp.<pid>-<n>`, `ebv-serve.<pid>-<n>.sock` — return the
 /// owning pid; otherwise nullopt. Exposed for tests.
 [[nodiscard]] std::optional<long> temp_file_owner_pid(

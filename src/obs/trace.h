@@ -1,6 +1,6 @@
 // Span tracer emitting Chrome trace-event JSON (chrome://tracing /
 // https://ui.perfetto.dev), wired into the task-graph executor, the BSP
-// superstep loop, mailbox spill/drain, and the serve request path.
+// superstep loop, and the serve request path.
 //
 // Contract (docs/OBSERVABILITY.md):
 //  * Off by default. While disarmed, Span construction and instant() are

@@ -40,7 +40,6 @@ namespace fs = std::filesystem;
 
 using bsp::BspRuntime;
 using bsp::DistributedGraph;
-using bsp::RunOptions;
 using failpoint::Action;
 using failpoint::ScopedFailpoints;
 
@@ -270,55 +269,6 @@ TEST(FailpointInjection, SnapshotWriteErrorRemovesPartialEbvs) {
   EXPECT_EQ(mapped.view().num_vertices(), g.num_vertices());
 }
 
-TEST(FailpointInjection, MailboxAppendErrorCleansUpAndNamesTheFlag) {
-  const std::string spill = fresh_dir("fp_mbox_append");
-  const Graph& g = powerlaw_graph();
-  const EdgePartition partition = ebv_partition(g, 8);
-  const DistributedGraph spilled(
-      g, partition, {.spill_path = spill + "/workers.ebvw"});
-  const apps::ConnectedComponents cc;
-  RunOptions options;
-  options.resident_workers = 2;
-  options.spill_dir = spill;
-  options.mailbox_buffer_messages = 1;  // every parked message hits a file
-  const ScopedFailpoints fp("mailbox.append=err@4");
-  try {
-    (void)BspRuntime(options).run(spilled, cc);
-    FAIL() << "expected the injected mailbox append error to surface";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("--spill-dir"), std::string::npos)
-        << e.what();
-  }
-  // Unwinding destroyed every mailbox: no overflow file survives.
-  for (const auto& name : files_in(spill)) {
-    EXPECT_EQ(name.find("ebv-mbox."), std::string::npos) << name;
-  }
-}
-
-TEST(FailpointInjection, MailboxReadErrorCleansUpAndNamesTheFlag) {
-  const std::string spill = fresh_dir("fp_mbox_read");
-  const Graph& g = powerlaw_graph();
-  const EdgePartition partition = ebv_partition(g, 8);
-  const DistributedGraph spilled(
-      g, partition, {.spill_path = spill + "/workers.ebvw"});
-  const apps::ConnectedComponents cc;
-  RunOptions options;
-  options.resident_workers = 2;
-  options.spill_dir = spill;
-  options.mailbox_buffer_messages = 1;
-  const ScopedFailpoints fp("mailbox.read=shortread@2");
-  try {
-    (void)BspRuntime(options).run(spilled, cc);
-    FAIL() << "expected the injected mailbox read error to surface";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("--spill-dir"), std::string::npos)
-        << e.what();
-  }
-  for (const auto& name : files_in(spill)) {
-    EXPECT_EQ(name.find("ebv-mbox."), std::string::npos) << name;
-  }
-}
-
 TEST(FailpointInjection, RunIsUnperturbedPastTheInjectionWindow) {
   // A transient window that never triggers (hit 10^6) must not move a
   // bit — the instrumented sites cost nothing when armed-but-missed.
@@ -338,7 +288,6 @@ TEST(FailpointInjection, RunIsUnperturbedPastTheInjectionWindow) {
 // Stale temp-file sweep (pid-liveness reclamation at CLI startup).
 
 TEST(StaleSweep, RecognisesExactlyTheTempShapes) {
-  EXPECT_EQ(temp_file_owner_pid("ebv-mbox.123-4.7.tmp"), 123);
   EXPECT_EQ(temp_file_owner_pid("ebv-workers.99-2.ebvw"), 99);
   EXPECT_EQ(temp_file_owner_pid("edges.ebvs.run3.77-1.tmp"), 77);
   EXPECT_EQ(temp_file_owner_pid("ckpt-00000005.ebvc.tmp.41-9"), 41);
@@ -347,7 +296,9 @@ TEST(StaleSweep, RecognisesExactlyTheTempShapes) {
   // Not temp files: published outputs and foreign names stay untouched.
   EXPECT_FALSE(temp_file_owner_pid("graph.ebvs").has_value());
   EXPECT_FALSE(temp_file_owner_pid("ckpt-00000005.ebvc").has_value());
-  EXPECT_FALSE(temp_file_owner_pid("ebv-mbox.notapid.tmp").has_value());
+  // The runtime creates no mailbox overflow files, so their old shape is
+  // a foreign name.
+  EXPECT_FALSE(temp_file_owner_pid("ebv-mbox.123-4.7.tmp").has_value());
   EXPECT_FALSE(temp_file_owner_pid("ebv-workers.12.ebvw").has_value());
   EXPECT_FALSE(temp_file_owner_pid("ebv-serve.12.sock").has_value());
   EXPECT_FALSE(temp_file_owner_pid("graph.ebvs.wspool.tmp").has_value());
@@ -370,15 +321,14 @@ TEST(StaleSweep, RemovesDeadOwnersKeepsLiveAndForeignFiles) {
   const std::string dead = std::to_string(child);
   const std::string live = std::to_string(getpid());
   const std::vector<std::string> stale = {
-      "ebv-mbox." + dead + "-1.3.tmp",
       "ebv-workers." + dead + "-2.ebvw",
       "edges.ebvs.run0." + dead + "-1.tmp",
       "ckpt-00000002.ebvc.tmp." + dead + "-5",
   };
   const std::vector<std::string> kept = {
-      "ebv-mbox." + live + "-1.3.tmp",  // live owner: in use
-      "graph.ebvs",                     // published output
-      "notes.txt",                      // foreign file
+      "ebv-workers." + live + "-1.ebvw",  // live owner: in use
+      "graph.ebvs",                       // published output
+      "notes.txt",                        // foreign file
   };
   for (const auto& name : stale) { std::ofstream(dir + "/" + name) << "x"; }
   for (const auto& name : kept) { std::ofstream(dir + "/" + name) << "x"; }

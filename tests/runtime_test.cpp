@@ -262,7 +262,7 @@ TEST(Runtime, MaxSuperstepsGuardStopsRunaway) {
 TEST(Runtime, ParallelPolicyMatchesSequentialExactly) {
   // MaxOneHop walks ctx.updated() in list order and propagates in place,
   // so what it emits depends on the frontier's order, which follows the
-  // mailbox drain order. A 4-rank stealing team must reproduce the
+  // inbox append order. A 4-rank stealing team must reproduce the
   // sequential run exactly, message counts per worker included.
   for (const std::uint64_t seed : {9u, 21u}) {
     const Graph g = gen::chung_lu(400, 3000, 2.3, false, seed);

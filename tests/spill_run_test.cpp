@@ -3,8 +3,7 @@
 // the bounded-residency BSP scheduler (RunOptions::resident_workers)
 // produces supersteps, message counts, final values and virtual-time
 // accounting BIT-IDENTICAL to the all-resident path for every budget —
-// with and without subgraph spilling, with and without mailbox overflow
-// to files.
+// with and without subgraph spilling.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -228,7 +227,6 @@ TEST(SpillRun, DeclaredAdjacencyIsRebuiltAfterEveryRelease) {
     for (const bool parallel : {false, true}) {
       RunOptions options;
       options.resident_workers = k;
-      options.spill_dir = testing::TempDir();
       if (parallel) {
         options.policy = bsp::ExecutionPolicy::kParallel;
         options.num_threads = 4;
@@ -251,23 +249,6 @@ TEST(SpillRun, BoundedSchedulerOnResidentGraphIsIdentical) {
     options.resident_workers = k;
     expect_stats_identical(BspRuntime(options).run(dist, cc), base);
   }
-}
-
-TEST(SpillRun, MailboxFileOverflowIsIdentical) {
-  // A 1-message buffer forces every parked message through the
-  // append-only spill files.
-  const Graph& g = powerlaw_graph();
-  const EdgePartition partition = ebv_partition(g, 8);
-  const DistributedGraph resident(g, partition);
-  const apps::ConnectedComponents cc;
-  const RunStats base = BspRuntime().run(resident, cc);
-  const DistributedGraph spilled(
-      g, partition, {.spill_path = temp_path("overflow.ebvw")});
-  RunOptions options;
-  options.resident_workers = 2;
-  options.spill_dir = testing::TempDir();
-  options.mailbox_buffer_messages = 1;
-  expect_stats_identical(BspRuntime(options).run(spilled, cc), base);
 }
 
 TEST(SpillRun, ParallelPolicyMatchesSequentialUnderBudget) {
@@ -303,7 +284,6 @@ TEST(SpillRun, StrictSchedulerBitIdenticalAcrossTeamAndPrefetch) {
       for (const bool parallel : {false, true}) {
         RunOptions options;
         options.resident_workers = k;
-        options.spill_dir = testing::TempDir();
         options.prefetch = prefetch;
         if (parallel) {
           options.policy = bsp::ExecutionPolicy::kParallel;

@@ -387,8 +387,8 @@ int cmd_run(const ArgMap& args) {
   // and park instants) — stdout is unchanged, the notice goes to stderr.
   options.phase_stats = get_uint(args, "phase-stats", "0", 1) != 0;
 
-  // Reclaim temp files (mailbox overflow, EBVW spill snapshots,
-  // checkpoint temps) a killed run left behind, before we create ours.
+  // Reclaim temp files (EBVW spill snapshots, checkpoint temps) a
+  // killed run left behind, before we create ours.
   sweep_stale_temp_files(
       options.spill_dir.empty()
           ? std::filesystem::temp_directory_path().string()
