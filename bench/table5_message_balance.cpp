@@ -1,6 +1,7 @@
 // Table V — max/mean ratio of per-worker CC messages (with the imbalance
 // factors in parentheses), the paper's message-balance metric.
 #include <iostream>
+#include <string>
 
 #include "analysis/experiment.h"
 #include "analysis/message_stats.h"
@@ -28,9 +29,10 @@ int main(int argc, char** argv) {
       // Imbalance factors use the paper's per-family definitions
       // (edge-cut for METIS), matching Table III.
       const auto m = analysis::paper_metrics(d.graph, name, d.table3_parts);
+      const std::string edge_imb = format_fixed(m.edge_imbalance, 2);
+      const std::string vertex_imb = format_fixed(m.vertex_imbalance, 2);
       table.add_row({name, format_fixed(s.max_over_mean, 3),
-                     "(" + format_fixed(m.edge_imbalance, 2) + "/" +
-                         format_fixed(m.vertex_imbalance, 2) + ")"});
+                     "(" + edge_imb + "/" + vertex_imb + ")"});
     }
     table.print(std::cout);
     std::cout << "\n";

@@ -63,7 +63,9 @@ void DistributedGraph::build(const GraphView& graph,
 
   // Flatten membership into the persistent CSR layout:
   // replica_parts_[replica_offsets_[v] .. replica_offsets_[v+1]) are the
-  // parts holding v, ascending.
+  // parts holding v, ascending. Each part numbers its vertices in
+  // ascending global order, so a running per-part counter is the local
+  // id of every replica slot, and its final value is the part's |Vi|.
   const std::uint32_t words = masks.words_per_vertex();
   replica_offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
   for (VertexId v = 0; v < n; ++v) {
@@ -76,13 +78,17 @@ void DistributedGraph::build(const GraphView& graph,
   }
   total_replicas_ = replica_offsets_[n];
   replica_parts_.resize(total_replicas_);
+  replica_local_.resize(total_replicas_);
+  std::vector<VertexId> vertices_per_part(p, 0);
   for (VertexId v = 0; v < n; ++v) {
     std::uint64_t slot = replica_offsets_[v];
     const std::uint64_t* row = masks.row(v);
     for (std::uint32_t w = 0; w < words; ++w) {
       for (std::uint64_t bits = row[w]; bits != 0; bits &= bits - 1) {
-        replica_parts_[slot++] = static_cast<PartitionId>(
+        const auto part = static_cast<PartitionId>(
             w * 64 + static_cast<std::uint32_t>(std::countr_zero(bits)));
+        replica_parts_[slot] = part;
+        replica_local_[slot++] = vertices_per_part[part]++;
       }
     }
   }
@@ -117,6 +123,7 @@ void DistributedGraph::build(const GraphView& graph,
   // (replica_parts_ is ascending per vertex, so the first strict maximum
   // is the lowest-id winner).
   master_of_vertex_.assign(n, kInvalidPartition);
+  master_local_.assign(n, kInvalidVertex);
   for (VertexId v = 0; v < n; ++v) {
     std::uint32_t best = 0;
     for (std::uint64_t s = replica_offsets_[v]; s < replica_offsets_[v + 1];
@@ -124,15 +131,17 @@ void DistributedGraph::build(const GraphView& graph,
       if (incident_count[s] > best) {
         best = incident_count[s];
         master_of_vertex_[v] = replica_parts_[s];
+        master_local_[v] = replica_local_[s];
       }
     }
   }
   incident_count = {};  // transient; release before building subgraphs
 
-  // Local vertex id spaces: ascending global id per part, so every
-  // global_ids is sorted and LocalSubgraph::local_of() can binary-search.
-  std::vector<std::uint64_t> vertices_per_part(p, 0);
-  for (const PartitionId part : replica_parts_) ++vertices_per_part[part];
+  // Pass 3 addresses each edge endpoint by its slot's precomputed local
+  // id, found with the same popcount rank as pass 2.
+  const auto local_id = [&](VertexId v, PartitionId part) {
+    return replica_local_[slot_of(v, part)];
+  };
 
   if (options.spill_path.empty()) {
     // --- Resident mode: one streaming pass fills all p subgraphs. -------
@@ -155,9 +164,10 @@ void DistributedGraph::build(const GraphView& graph,
       }
     }
     for (EdgeId e = 0; e < num_global_edges_; ++e) {
-      LocalSubgraph& ls = locals_[partition.part_of_edge[e]];
+      const PartitionId part = partition.part_of_edge[e];
+      LocalSubgraph& ls = locals_[part];
       const Edge edge = graph.edge(e);
-      ls.edges.push_back({ls.local_of(edge.src), ls.local_of(edge.dst)});
+      ls.edges.push_back({local_id(edge.src, part), local_id(edge.dst, part)});
       if (graph.has_weights()) ls.edge_weights.push_back(graph.weight(e));
     }
 
@@ -186,7 +196,7 @@ void DistributedGraph::build(const GraphView& graph,
     for (EdgeId e = 0; e < num_global_edges_; ++e) {
       if (partition.part_of_edge[e] != i) continue;
       const Edge edge = graph.edge(e);
-      ls.edges.push_back({ls.local_of(edge.src), ls.local_of(edge.dst)});
+      ls.edges.push_back({local_id(edge.src, i), local_id(edge.dst, i)});
       if (graph.has_weights()) ls.edge_weights.push_back(graph.weight(e));
     }
     fill_vertex_metadata(ls, graph, *this);

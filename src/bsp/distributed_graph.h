@@ -7,7 +7,11 @@
 //   - one replica is designated the master (the part holding the most
 //     incident edges, ties to the lowest part id) — masters combine values
 //     from mirrors and broadcast the result back (PowerGraph-style sync,
-//     which is how DRONE-like subgraph-centric frameworks communicate).
+//     which is how DRONE-like subgraph-centric frameworks communicate);
+//   - every replica's local id in its part is computed once here, so a
+//     message between workers and an edge endpoint are addressed by the
+//     receiver's local id and nothing searches `global_ids` per message
+//     or per edge.
 //
 // Taking a GraphView (a resident Graph converts implicitly) makes this the
 // out-of-core half of `ebvpart run --mmap`: the edge section of an
@@ -105,12 +109,32 @@ class DistributedGraph {
             static_cast<std::size_t>(replica_offsets_[global + 1] -
                                      replica_offsets_[global])};
   }
+  /// Local id of v in each part holding it: local_ids_of(v)[k] indexes
+  /// worker parts_of(v)[k]'s subgraph, so
+  /// local(parts_of(v)[k]).global_ids[local_ids_of(v)[k]] == v. Empty
+  /// for vertices covered by no edge. Throws std::invalid_argument for an
+  /// out-of-range global id.
+  [[nodiscard]] std::span<const VertexId> local_ids_of(VertexId global) const {
+    EBV_REQUIRE(global < num_global_vertices_,
+                "local_ids_of: global vertex id out of range");
+    return {replica_local_.data() + replica_offsets_[global],
+            static_cast<std::size_t>(replica_offsets_[global + 1] -
+                                     replica_offsets_[global])};
+  }
   /// Master part of v, or kInvalidPartition for uncovered vertices.
   /// Throws std::invalid_argument for an out-of-range global id.
   [[nodiscard]] PartitionId master_of(VertexId global) const {
     EBV_REQUIRE(global < num_global_vertices_,
                 "master_of: global vertex id out of range");
     return master_of_vertex_[global];
+  }
+  /// Local id of v in its master part (the local_ids_of entry at
+  /// master_of(v)), or kInvalidVertex for uncovered vertices. Throws
+  /// std::invalid_argument for an out-of-range global id.
+  [[nodiscard]] VertexId master_local_of(VertexId global) const {
+    EBV_REQUIRE(global < num_global_vertices_,
+                "master_local_of: global vertex id out of range");
+    return master_local_[global];
   }
 
   /// Σ|Vi| — total replicas, matching the metrics module.
@@ -129,10 +153,15 @@ class DistributedGraph {
   std::vector<LocalSubgraph> locals_;  // empty in spilled mode
   std::optional<SpillStore> store_;    // engaged in spilled mode
   // parts_of(v) = replica_parts_[replica_offsets_[v] .. replica_offsets_[v+1])
-  // — a flat CSR layout instead of |V| small vectors.
+  // — a flat CSR layout instead of |V| small vectors. replica_local_ is
+  // parallel to replica_parts_ (one local id per replica slot) and
+  // master_local_ to master_of_vertex_; all four stay resident in both
+  // residency modes.
   std::vector<std::uint64_t> replica_offsets_;
   std::vector<PartitionId> replica_parts_;
+  std::vector<VertexId> replica_local_;
   std::vector<PartitionId> master_of_vertex_;
+  std::vector<VertexId> master_local_;
 };
 
 }  // namespace ebv::bsp

@@ -42,6 +42,9 @@ struct LocalSubgraph {
   /// Local id of a global vertex, or kInvalidVertex if absent here.
   /// Binary search over the ascending `global_ids` (local ids are assigned
   /// in ascending global order), so no global→local hash map is stored.
+  /// It serves a program's one source lookup per run (SSSP, BFS); the
+  /// runtime's messages and DistributedGraph's edges carry local ids
+  /// from the routing tables instead (DistributedGraph::local_ids_of).
   [[nodiscard]] VertexId local_of(VertexId global) const {
     const auto it =
         std::lower_bound(global_ids.begin(), global_ids.end(), global);

@@ -22,8 +22,20 @@
 namespace ebv::bsp {
 namespace {
 
-/// One value in flight between two workers within a superstep.
+/// One value in flight between two workers within a superstep. It names
+/// the vertex by its local id at the receiver, read from the routing
+/// tables (DistributedGraph::master_local_of, local_ids_of), so merge and
+/// install index their arrays directly.
 struct WireMessage {
+  VertexId local = kInvalidVertex;
+  Value value = 0.0;
+};
+
+/// A master value staged by merge(m) for the broadcast chain. It keeps
+/// the global id because broadcast runs without the master's subgraph
+/// under a residency budget and resolves each peer's local id from the
+/// routing tables.
+struct StagedValue {
   VertexId global = kInvalidVertex;
   Value value = 0.0;
 };
@@ -239,8 +251,8 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
   // per mirror replica, so it needs no bound of its own.
   std::vector<std::vector<WireMessage>> to_master(p);
   std::vector<std::vector<WireMessage>> to_mirror(p);
-  // Combining state: pending[j] maps a global vertex to its message's
-  // index in to_master[j] for the current superstep.
+  // Combining state: pending[j] maps a master's local id at worker j to
+  // its message's index in to_master[j] for the current superstep.
   std::vector<std::unordered_map<VertexId, std::size_t>> pending(
       options_.combine_messages ? p : 0);
 
@@ -248,7 +260,7 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
   std::vector<std::any> worker_state(p);
   // Staged master broadcasts: filled by merge(m), shipped by the
   // broadcast chain.
-  std::vector<std::vector<WireMessage>> bcast(p);
+  std::vector<std::vector<StagedValue>> bcast(p);
 
   RunStats stats;
   stats.messages_sent_per_worker.assign(p, 0);
@@ -368,6 +380,9 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
     std::vector<std::uint64_t> sent(p, 0);
     std::vector<std::uint64_t> raw(p, 0);
     std::vector<std::uint64_t> received(p, 0);
+    // Written at most once per task, from a local flag: the p bytes share
+    // cache lines, so a store per updated vertex from concurrent compute,
+    // merge and install tasks bounces those lines between cores.
     std::vector<std::uint8_t> changed(p, 0);
 
     auto count_send = [&](PartitionId from, PartitionId to) {
@@ -403,6 +418,7 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
       step_stats[i].work_units = ctx.work_units();
       step_stats[i].comp_seconds = cost.comp_seconds(ctx.work_units());
       updated[i].clear();
+      bool worker_changed = false;
       for (const VertexId lv : emitted[i]) {
         if (ls.is_replicated[lv] != 0) continue;
         Value merged = acc[i][lv];
@@ -414,10 +430,11 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
         if (next != values[i][lv]) {
           values[i][lv] = next;
           updated[i].push_back(lv);
-          changed[i] = 1;
+          worker_changed = true;
         }
         has_acc[i][lv] = 0;
       }
+      if (worker_changed) changed[i] = 1;
       // Master replicas keep has_acc set; consumed by merge(i).
     };
 
@@ -432,13 +449,13 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
       for (const VertexId lv : emitted[i]) {
         if (ls.is_replicated[lv] == 0 || ls.is_master[lv] != 0) continue;
         const PartitionId m = ls.master_part[lv];
-        const VertexId gv = ls.global_ids[lv];
+        const VertexId master_lv = graph.master_local_of(ls.global_ids[lv]);
         ++raw[i];
         bool enqueue = true;
         if (options_.combine_messages) {
-          // A message for gv already pending at m? Merge into it.
+          // A message for this vertex already pending at m? Merge into it.
           const auto [it, inserted] =
-              pending[m].try_emplace(gv, to_master[m].size());
+              pending[m].try_emplace(master_lv, to_master[m].size());
           if (!inserted) {
             WireMessage& msg = to_master[m][it->second];
             msg.value = program.combine(msg.value, acc[i][lv]);
@@ -446,7 +463,7 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
           }
         }
         if (enqueue) {
-          to_master[m].push_back({gv, acc[i][lv]});
+          to_master[m].push_back({master_lv, acc[i][lv]});
           count_send(i, m);
         }
         has_acc[i][lv] = 0;
@@ -460,12 +477,14 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
       const obs::trace::Span span("broadcast", m);
       const PhaseTimer phase(options_.phase_stats ? &phase_accum.broadcast
                                                   : nullptr);
-      for (const WireMessage& msg : bcast[m]) {
-        for (const PartitionId peer : graph.parts_of(msg.global)) {
-          if (peer == m) continue;
+      for (const StagedValue& staged : bcast[m]) {
+        const auto peers = graph.parts_of(staged.global);
+        const auto peer_lvs = graph.local_ids_of(staged.global);
+        for (std::size_t j = 0; j < peers.size(); ++j) {
+          if (peers[j] == m) continue;
           ++raw[m];
-          to_mirror[peer].push_back(msg);
-          count_send(m, peer);
+          to_mirror[peers[j]].push_back({peer_lvs[j], staged.value});
+          count_send(m, peers[j]);
         }
       }
       bcast[m].clear();
@@ -479,8 +498,8 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
                                                   : nullptr);
       const LocalSubgraph& ls = sub(m);
       for (const WireMessage& msg : to_master[m]) {
-        const VertexId lv = ls.local_of(msg.global);
-        EBV_ASSERT(lv != kInvalidVertex);
+        const VertexId lv = msg.local;
+        EBV_ASSERT(lv < ls.num_vertices());
         EBV_ASSERT(ls.is_master[lv] != 0);
         if (has_acc[m][lv] != 0) {
           acc[m][lv] = program.combine(acc[m][lv], msg.value);
@@ -493,6 +512,7 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
       to_master[m].clear();
       if (options_.combine_messages) pending[m].clear();
 
+      bool worker_changed = false;
       for (const VertexId lv : emitted[m]) {
         if (has_acc[m][lv] == 0) continue;  // already resolved in compute
         if (ls.is_replicated[lv] == 0) continue;    // resolved in compute
@@ -507,13 +527,14 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
         if (next != values[m][lv]) {
           values[m][lv] = next;
           updated[m].push_back(lv);
-          changed[m] = 1;
+          worker_changed = true;
         }
         if (next == last_sync[m][lv]) continue;  // mirrors are up to date
         last_sync[m][lv] = next;
-        changed[m] = 1;
+        worker_changed = true;
         bcast[m].push_back({ls.global_ids[lv], next});
       }
+      if (worker_changed) changed[m] = 1;
       emitted[m].clear();
     };
 
@@ -523,15 +544,18 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
       const PhaseTimer phase(options_.phase_stats ? &phase_accum.install
                                                   : nullptr);
       const LocalSubgraph& ls = sub(i);
+      bool worker_changed = false;
       for (const WireMessage& msg : to_mirror[i]) {
-        const VertexId lv = ls.local_of(msg.global);
-        EBV_ASSERT(lv != kInvalidVertex);
+        const VertexId lv = msg.local;
+        EBV_ASSERT(lv < ls.num_vertices());
+        EBV_ASSERT(ls.is_replicated[lv] != 0 && ls.is_master[lv] == 0);
         if (values[i][lv] != msg.value) {
           values[i][lv] = msg.value;
           updated[i].push_back(lv);
-          changed[i] = 1;
+          worker_changed = true;
         }
       }
+      if (worker_changed) changed[i] = 1;
       to_mirror[i].clear();
       emitted[i].clear();  // all consumed (mirrors cleared acc in route)
     };

@@ -126,7 +126,8 @@ PartitionMetrics compute_edge_cut_metrics(
   m.replication_factor =
       graph.num_edges() == 0
           ? 0.0
-          : static_cast<double>(total_edge_replicas) / graph.num_edges();
+          : static_cast<double>(total_edge_replicas) /
+                static_cast<double>(graph.num_edges());
   return m;
 }
 

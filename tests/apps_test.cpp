@@ -82,8 +82,8 @@ TEST_P(AppsOnAllPartitioners, BfsMatchesReference) {
 
 INSTANTIATE_TEST_SUITE_P(Registry, AppsOnAllPartitioners,
                          testing::ValuesIn(all_partitioners()),
-                         [](const auto& info) {
-                           std::string name = info.param;
+                         [](const auto& param_info) {
+                           std::string name = param_info.param;
                            for (char& c : name) {
                              if (c == '-') c = '_';
                            }

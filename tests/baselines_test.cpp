@@ -71,9 +71,9 @@ TEST_P(AllPartitioners, MorePartsNeverLowersReplication) {
 
 INSTANTIATE_TEST_SUITE_P(Registry, AllPartitioners,
                          testing::ValuesIn(all_partitioners()),
-                         [](const auto& info) {
+                         [](const auto& param_info) {
                            // gtest names must be alphanumeric.
-                           std::string name = info.param;
+                           std::string name = param_info.param;
                            for (char& c : name) {
                              if (c == '-') c = '_';
                            }

@@ -173,6 +173,47 @@ TEST(DistributedGraph, OutOfRangeVertexIdThrows) {
   EXPECT_THROW((void)dist.master_of(4), std::invalid_argument);
   EXPECT_THROW((void)dist.parts_of(kInvalidVertex), std::invalid_argument);
   EXPECT_THROW((void)dist.master_of(kInvalidVertex), std::invalid_argument);
+  EXPECT_THROW((void)dist.local_ids_of(4), std::invalid_argument);
+  EXPECT_THROW((void)dist.master_local_of(4), std::invalid_argument);
+  EXPECT_THROW((void)dist.local_ids_of(kInvalidVertex), std::invalid_argument);
+  EXPECT_THROW((void)dist.master_local_of(kInvalidVertex),
+               std::invalid_argument);
+}
+
+// The routing tables name every replica by its local id, and the runtime
+// indexes worker arrays with those ids unchecked against global_ids.
+// Above 64 parts a replica mask spans several words, so the slot ranks
+// that produce the ids cross word boundaries (p = 65 and 200).
+TEST(DistributedGraph, LocalIdsNameEveryReplica) {
+  // Vertices 1500..1599 are isolated: no edge covers them.
+  const Graph base = gen::chung_lu(1500, 12000, 2.2, false, 11);
+  std::vector<Edge> edges(base.edges().begin(), base.edges().end());
+  const Graph g(1600, edges);
+  for (const PartitionId p : {1u, 63u, 64u, 65u, 200u}) {
+    const EdgePartition random =
+        make_partitioner("random")->partition(g, {.num_parts = p});
+    for (const EdgePartition& part : {round_robin(g, p), random}) {
+      SCOPED_TRACE(testing::Message() << "p=" << p);
+      const DistributedGraph dist(g, part);
+      for (VertexId v = 0; v < g.num_vertices(); ++v) {
+        const auto parts = dist.parts_of(v);
+        const auto lvs = dist.local_ids_of(v);
+        ASSERT_EQ(lvs.size(), parts.size()) << "v=" << v;
+        if (parts.empty()) {
+          ASSERT_EQ(dist.master_local_of(v), kInvalidVertex) << "v=" << v;
+          continue;
+        }
+        VertexId master_lv = kInvalidVertex;
+        for (std::size_t k = 0; k < parts.size(); ++k) {
+          const auto& ls = dist.local(parts[k]);
+          ASSERT_LT(lvs[k], ls.num_vertices()) << "v=" << v;
+          ASSERT_EQ(ls.global_ids[lvs[k]], v) << "v=" << v << " k=" << k;
+          if (parts[k] == dist.master_of(v)) master_lv = lvs[k];
+        }
+        ASSERT_EQ(dist.master_local_of(v), master_lv) << "v=" << v;
+      }
+    }
+  }
 }
 
 TEST(DistributedGraph, IsolatedVerticesStayUncovered) {

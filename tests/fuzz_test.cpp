@@ -26,7 +26,10 @@ Graph random_graph(std::uint64_t seed) {
   const auto m = static_cast<EdgeId>(n + bounded(rng, n * 6));
   switch (bounded(rng, 3)) {
     case 0: return gen::erdos_renyi(n, m, seed);
-    case 1: return gen::chung_lu(n, m, 2.0 + 0.01 * bounded(rng, 150), false, seed);
+    case 1:
+      return gen::chung_lu(
+          n, m, 2.0 + 0.01 * static_cast<double>(bounded(rng, 150)), false,
+          seed);
     default: return gen::barabasi_albert(n, 2 + static_cast<std::uint32_t>(bounded(rng, 3)), seed);
   }
 }

@@ -141,8 +141,8 @@ INSTANTIATE_TEST_SUITE_P(AllApps, MmapRunPipeline,
                          testing::Values(analysis::App::kCC,
                                          analysis::App::kPageRank,
                                          analysis::App::kSssp),
-                         [](const auto& info) {
-                           return analysis::app_name(info.param);
+                         [](const auto& param_info) {
+                           return analysis::app_name(param_info.param);
                          });
 
 }  // namespace

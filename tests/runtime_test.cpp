@@ -2,9 +2,13 @@
 // programs, independent of the real applications.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 
+#include "apps/cc.h"
+#include "apps/reference.h"
+#include "apps/sssp.h"
 #include "bsp/runtime.h"
 #include "graph/generators.h"
 #include "partition/registry.h"
@@ -282,6 +286,31 @@ TEST(Runtime, ParallelPolicyMatchesSequentialExactly) {
     EXPECT_EQ(a.values, b.values);
     EXPECT_EQ(a.execution_seconds, b.execution_seconds)
         << "virtual time must not depend on the execution policy";
+  }
+}
+
+// Above 64 parts every replica mask spans several words. A message that
+// names a wrong local id still inside the receiver's range passes the
+// exchange's guards unless it lands on a master or a non-replica, so the
+// exact references are what catch it.
+TEST(Runtime, RandomPartitionAbove64PartsMatchesReferences) {
+  const Graph g = gen::chung_lu(3000, 24000, 2.2, false, 31);
+  const std::vector<VertexId> cc_expected = apps::cc_reference(g);
+  const std::vector<double> sssp_expected = apps::sssp_reference(g, 0);
+  for (const PartitionId p : {65u, 200u}) {
+    SCOPED_TRACE(testing::Message() << "p=" << p);
+    const DistributedGraph dist(
+        g, make_partitioner("random")->partition(g, {.num_parts = p}));
+    const RunStats cc = BspRuntime().run(dist, apps::ConnectedComponents());
+    const RunStats sssp = BspRuntime().run(dist, apps::Sssp(0));
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      ASSERT_EQ(cc.values[v], static_cast<Value>(cc_expected[v])) << "v=" << v;
+      if (std::isinf(sssp_expected[v])) {
+        ASSERT_TRUE(std::isinf(sssp.values[v])) << "v=" << v;
+      } else {
+        ASSERT_NEAR(sssp.values[v], sssp_expected[v], 1e-6) << "v=" << v;
+      }
+    }
   }
 }
 

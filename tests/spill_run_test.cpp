@@ -104,9 +104,13 @@ TEST(SpillStore, RoundTripMatchesResident) {
   EXPECT_EQ(spilled.total_replicas(), resident.total_replicas());
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     EXPECT_EQ(spilled.master_of(v), resident.master_of(v));
+    EXPECT_EQ(spilled.master_local_of(v), resident.master_local_of(v));
     const auto pa = spilled.parts_of(v);
     const auto pb = resident.parts_of(v);
     ASSERT_TRUE(std::equal(pa.begin(), pa.end(), pb.begin(), pb.end()));
+    const auto la = spilled.local_ids_of(v);
+    const auto lb = resident.local_ids_of(v);
+    ASSERT_TRUE(std::equal(la.begin(), la.end(), lb.begin(), lb.end()));
   }
   for (PartitionId i = 0; i < resident.num_workers(); ++i) {
     expect_subgraph_equal(spilled.load_worker(i), resident.local(i));

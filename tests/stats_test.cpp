@@ -58,8 +58,8 @@ TEST(Stats, ComputeStatsFields) {
 TEST(Stats, MinDegreeZeroSelectsAdaptiveThreshold) {
   // dmin = 0 (auto) must behave like passing the average total degree.
   const Graph g = gen::chung_lu(5000, 50000, 2.5, false, 19);
-  const auto avg = static_cast<std::uint32_t>(2.0 * g.num_edges() /
-                                              g.num_vertices());
+  const auto avg = static_cast<std::uint32_t>(
+      2.0 * static_cast<double>(g.num_edges()) / g.num_vertices());
   EXPECT_DOUBLE_EQ(estimate_power_law_exponent(g, 0),
                    estimate_power_law_exponent(g, std::max(2u, avg)));
 }
