@@ -9,9 +9,9 @@
 #include "apps/sssp.h"
 #include "bsp/distributed_graph.h"
 #include "common/assert.h"
-#include "common/timer.h"
 #include "common/unique_id.h"
 #include "graph/generators.h"
+#include "obs/trace.h"
 #include "partition/metis_like.h"
 #include "partition/registry.h"
 
@@ -192,17 +192,16 @@ ExperimentResult run_experiment(const GraphView& graph,
   PartitionConfig config;
   config.num_parts = num_parts;
 
-  const Timer timer;
-  // partition_view keeps an mmap-backed view zero-copy for the streaming
-  // algorithms; the rest inherit the materialising fallback, so every
-  // registered algorithm works here with identical results.
-  const EdgePartition partition = partitioner->partition_view(graph, config);
-  const double partition_seconds = timer.seconds();
-
-  ExperimentResult result = run_with_partition(
-      graph, partition, partitioner_name, app, options, pagerank_iterations);
-  result.partition_wall_seconds = partition_seconds;
-  return result;
+  EdgePartition partition;
+  {
+    // partition_view keeps an mmap-backed view zero-copy for the
+    // streaming algorithms; the rest inherit the materialising fallback,
+    // so every registered algorithm works here with identical results.
+    const obs::trace::Span span("partition");
+    partition = partitioner->partition_view(graph, config);
+  }
+  return run_with_partition(graph, partition, partitioner_name, app, options,
+                            pagerank_iterations);
 }
 
 ExperimentResult run_experiment(const Graph& graph,
@@ -214,14 +213,13 @@ ExperimentResult run_experiment(const Graph& graph,
   PartitionConfig config;
   config.num_parts = num_parts;
 
-  const Timer timer;
-  const EdgePartition partition = partitioner->partition(graph, config);
-  const double partition_seconds = timer.seconds();
-
-  ExperimentResult result = run_with_partition(
-      graph, partition, partitioner_name, app, options, pagerank_iterations);
-  result.partition_wall_seconds = partition_seconds;
-  return result;
+  EdgePartition partition;
+  {
+    const obs::trace::Span span("partition");
+    partition = partitioner->partition(graph, config);
+  }
+  return run_with_partition(graph, partition, partitioner_name, app, options,
+                            pagerank_iterations);
 }
 
 }  // namespace ebv::analysis

@@ -44,7 +44,6 @@ struct ExperimentResult {
   PartitionId num_parts = 0;
   PartitionMetrics metrics;
   bsp::RunStats run;
-  double partition_wall_seconds = 0.0;
 };
 
 /// Partition `graph` with the named algorithm, build the distributed graph

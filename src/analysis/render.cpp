@@ -1,5 +1,11 @@
 #include "analysis/render.h"
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <string_view>
+#include <utility>
+
 #include "analysis/table.h"
 #include "bsp/runtime.h"
 #include "common/format.h"
@@ -42,46 +48,98 @@ std::string format_run_table(const std::string& app_label,
   return table.to_string();
 }
 
-std::string format_phase_stats_table(const bsp::RunStats& stats) {
-  Table table({"superstep", "compute", "route", "merge", "broadcast",
-               "install", "load", "release", "wall"});
-  // On a resumed run phase_wall only covers the post-restore supersteps,
-  // so the first row's absolute step number is offset accordingly.
-  const std::size_t first_step =
-      static_cast<std::size_t>(stats.supersteps) - stats.phase_wall.size();
-  bsp::PhaseWallStats total;
-  for (std::size_t i = 0; i < stats.phase_wall.size(); ++i) {
-    const bsp::PhaseWallStats& pw = stats.phase_wall[i];
-    table.add_row({std::to_string(first_step + i),
-                   format_duration(pw.compute_seconds),
-                   format_duration(pw.route_seconds),
-                   format_duration(pw.merge_seconds),
-                   format_duration(pw.broadcast_seconds),
-                   format_duration(pw.install_seconds),
-                   format_duration(pw.load_seconds),
-                   format_duration(pw.release_seconds),
-                   format_duration(pw.superstep_seconds)});
-    total.compute_seconds += pw.compute_seconds;
-    total.route_seconds += pw.route_seconds;
-    total.merge_seconds += pw.merge_seconds;
-    total.broadcast_seconds += pw.broadcast_seconds;
-    total.install_seconds += pw.install_seconds;
-    total.load_seconds += pw.load_seconds;
-    total.release_seconds += pw.release_seconds;
-    total.superstep_seconds += pw.superstep_seconds;
+std::string format_phase_breakdown(
+    const std::vector<obs::trace::Event>& events, const bsp::RunStats& stats) {
+  constexpr std::array<std::string_view, 7> kTasks = {
+      "compute", "route", "merge", "broadcast", "install", "load", "release"};
+  const auto cell = [](std::uint64_t ns) {
+    return format_duration(static_cast<double>(ns) * 1e-9);
+  };
+  // Spans in start order, a parent before the children it contains.
+  std::vector<const obs::trace::Event*> spans;
+  for (const obs::trace::Event& e : events) {
+    if (e.ph == 'X') spans.push_back(&e);
   }
-  table.add_row({"total", format_duration(total.compute_seconds),
-                 format_duration(total.route_seconds),
-                 format_duration(total.merge_seconds),
-                 format_duration(total.broadcast_seconds),
-                 format_duration(total.install_seconds),
-                 format_duration(total.load_seconds),
-                 format_duration(total.release_seconds),
-                 format_duration(total.superstep_seconds)});
-  std::string out = table.to_string();
-  out += "run wall " + format_duration(stats.wall_seconds) + ", cpu " +
+  std::sort(spans.begin(), spans.end(), [](const auto* a, const auto* b) {
+    return a->ts_ns != b->ts_ns ? a->ts_ns < b->ts_ns : a->dur_ns > b->dur_ns;
+  });
+
+  struct Step {
+    std::uint64_t step;
+    std::uint64_t end;
+    std::array<std::uint64_t, kTasks.size() + 1> ns{};  // tasks, then wall
+  };
+  struct Layer {
+    std::string_view name;
+    std::size_t parent;
+    std::size_t depth;
+    std::uint64_t count = 0;
+    std::uint64_t ns = 0;
+  };
+  constexpr std::size_t kTop = ~std::size_t{0};
+  std::vector<Step> steps;
+  std::vector<Layer> layers;
+  std::vector<std::pair<std::uint64_t, std::size_t>> open;  // (end, layer)
+  for (const obs::trace::Event* e : spans) {
+    const std::uint64_t end = e->ts_ns + e->dur_ns;
+    if (std::string_view(e->name) == "superstep") {
+      steps.push_back({e->arg, end});
+      steps.back().ns.back() = e->dur_ns;
+    } else if (!steps.empty() && e->ts_ns <= steps.back().end) {
+      const auto kind = std::find(kTasks.begin(), kTasks.end(), e->name);
+      if (kind != kTasks.end()) {
+        steps.back().ns[static_cast<std::size_t>(kind - kTasks.begin())] +=
+            e->dur_ns;
+      }
+    } else if (e->tid == 0) {  // a layer: main track, between supersteps
+      while (!open.empty() && end > open.back().first) open.pop_back();
+      const std::size_t parent = open.empty() ? kTop : open.back().second;
+      std::size_t row = 0;
+      while (row < layers.size() &&
+             (layers[row].parent != parent || layers[row].name != e->name)) {
+        ++row;
+      }
+      if (row == layers.size()) {
+        layers.push_back({e->name, parent, open.size()});
+      }
+      ++layers[row].count;
+      layers[row].ns += e->dur_ns;
+      open.emplace_back(end, row);
+    }
+  }
+
+  Table layer_table({"layer", "spans", "wall"});
+  std::uint64_t layer_total = 0;
+  const auto add_rows = [&](const auto& self, std::size_t parent) -> void {
+    for (std::size_t row = 0; row < layers.size(); ++row) {
+      const Layer& l = layers[row];
+      if (l.parent != parent) continue;
+      if (parent == kTop) layer_total += l.ns;
+      layer_table.add_row({std::string(2 * l.depth, ' ') + std::string(l.name),
+                           std::to_string(l.count), cell(l.ns)});
+      self(self, row);
+    }
+  };
+  add_rows(add_rows, kTop);
+  layer_table.add_row({"total", "", cell(layer_total)});
+
+  Table step_table({"superstep", "compute", "route", "merge", "broadcast",
+                    "install", "load", "release", "wall"});
+  const auto add_step = [&](std::string label, const Step& step) {
+    std::vector<std::string> row = {std::move(label)};
+    for (const std::uint64_t ns : step.ns) row.push_back(cell(ns));
+    step_table.add_row(std::move(row));
+  };
+  Step total{};
+  for (const Step& step : steps) {
+    add_step(std::to_string(step.step), step);
+    for (std::size_t k = 0; k < step.ns.size(); ++k) total.ns[k] += step.ns[k];
+  }
+  add_step("total", total);
+
+  return layer_table.to_string() + step_table.to_string() + "run wall " +
+         format_duration(stats.wall_seconds) + ", cpu " +
          format_duration(stats.cpu_seconds) + "\n";
-  return out;
 }
 
 }  // namespace ebv::analysis

@@ -6,9 +6,11 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "analysis/experiment.h"
 #include "graph/stats.h"
+#include "obs/trace.h"
 
 namespace ebv::analysis {
 
@@ -23,11 +25,14 @@ std::string format_mmap_stats_table(const GraphStats& stats,
 std::string format_run_table(const std::string& app_label,
                              const ExperimentResult& result, bool include_raw);
 
-/// The `run --phase-stats` breakdown: one row per executed superstep
-/// with real wall seconds attributed to each scheduler task kind, a
-/// summed total row, and a wall/CPU footer. Additive output — printed
-/// AFTER the run table, never altering it (the bit-identity contract
-/// covers format_run_table alone).
-std::string format_phase_stats_table(const bsp::RunStats& stats);
+/// The `run --phase-stats` tables, a view over one command's collected
+/// spans (docs/OBSERVABILITY.md): a layer table of the main-track spans
+/// outside every superstep window, children indented under their parent;
+/// one row per `superstep` span, numbered by its arg, summing each task
+/// kind's spans that start inside it; and a footer with `stats`' run
+/// wall and CPU. Additive output — printed AFTER the run table, never
+/// altering it (the bit-identity contract covers format_run_table alone).
+std::string format_phase_breakdown(
+    const std::vector<obs::trace::Event>& events, const bsp::RunStats& stats);
 
 }  // namespace ebv::analysis

@@ -3,6 +3,7 @@
 #include <bit>
 
 #include "common/assert.h"
+#include "obs/trace.h"
 #include "partition/replica_masks.h"
 
 namespace ebv::bsp {
@@ -41,6 +42,7 @@ DistributedGraph::DistributedGraph(const GraphView& graph,
 void DistributedGraph::build(const GraphView& graph,
                              const EdgePartition& partition,
                              const DistributeOptions& options) {
+  const obs::trace::Span span("bsp.distribute");
   EBV_REQUIRE(partition.part_of_edge.size() == graph.num_edges(),
               "partition does not match graph");
   const PartitionId p = partition.num_parts;

@@ -8,7 +8,6 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "bsp/checkpoint.h"
@@ -40,51 +39,6 @@ struct StagedValue {
   Value value = 0.0;
 };
 
-/// Relaxed add for the phase-wall accumulators (tasks of the same phase
-/// run concurrently under kParallel).
-void add_seconds(std::atomic<double>& slot, double seconds) {
-  double cur = slot.load(std::memory_order_relaxed);
-  while (!slot.compare_exchange_weak(cur, cur + seconds,
-                                     std::memory_order_relaxed)) {
-  }
-}
-
-/// Per-superstep phase accumulators (plain atomics, reduced into
-/// RunStats::phase_wall at the barrier).
-struct PhaseWallAccum {
-  std::atomic<double> compute{0.0};
-  std::atomic<double> route{0.0};
-  std::atomic<double> merge{0.0};
-  std::atomic<double> broadcast{0.0};
-  std::atomic<double> install{0.0};
-  std::atomic<double> load{0.0};
-  std::atomic<double> release{0.0};
-};
-
-/// RAII wall-clock attribution into one phase slot; a null slot (the
-/// phase-stats flag off, or outside the superstep loop) reads no clock
-/// at all, keeping the off path free.
-class PhaseTimer {
- public:
-  explicit PhaseTimer(std::atomic<double>* slot) : slot_(slot) {
-    if (slot_ != nullptr) begin_ = std::chrono::steady_clock::now();
-  }
-  ~PhaseTimer() {
-    if (slot_ != nullptr) {
-      add_seconds(*slot_,
-                  std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - begin_)
-                      .count());
-    }
-  }
-  PhaseTimer(const PhaseTimer&) = delete;
-  PhaseTimer& operator=(const PhaseTimer&) = delete;
-
- private:
-  std::atomic<double>* slot_;
-  std::chrono::steady_clock::time_point begin_{};
-};
-
 [[noreturn]] void fail_nan(const SubgraphProgram& program, VertexId gv,
                            std::uint32_t step) {
   throw std::runtime_error(
@@ -100,11 +54,6 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
                          const SubgraphProgram& program) const {
   const Timer wall;
   const double cpu_start = process_cpu_seconds();
-  // Phase-wall accumulator for the superstep currently executing; null
-  // whenever --phase-stats is off or between supersteps (the init and
-  // gather stages), so the instrumented lambdas below stay free.
-  std::atomic<double>* load_slot = nullptr;
-  std::atomic<double>* release_slot = nullptr;
   const PartitionId p = graph.num_workers();
   EBV_REQUIRE(p >= 1, "need at least one worker");
   options_.cost_model.validate();
@@ -161,7 +110,6 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
   auto ensure_loaded = [&](PartitionId first, PartitionId last) {
     if (!spilled) return;
     const obs::trace::Span span("load", first);
-    const PhaseTimer phase(load_slot);
     for (PartitionId i = first; i < last; ++i) {
       if (cache[i] == nullptr) {
         // An unbounded budget loads every worker once and keeps it; a
@@ -180,7 +128,6 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
   auto release = [&](PartitionId first, PartitionId last) {
     if (!spilled || !bounded) return;
     const obs::trace::Span span("release", first);
-    const PhaseTimer phase(release_slot);
     for (PartitionId i = first; i < last; ++i) {
       if (cache[i] != nullptr) {
         cache[i].reset();
@@ -251,10 +198,15 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
   // per mirror replica, so it needs no bound of its own.
   std::vector<std::vector<WireMessage>> to_master(p);
   std::vector<std::vector<WireMessage>> to_mirror(p);
-  // Combining state: pending[j] maps a master's local id at worker j to
-  // its message's index in to_master[j] for the current superstep.
-  std::vector<std::unordered_map<VertexId, std::size_t>> pending(
+  // Combining state: pending[j][lv] is 1 + the index in to_master[j] of
+  // the message pending for the master with local id lv at worker j, or
+  // 0 when none is. merge(j) resets the slot of each message it consumes,
+  // so every slot is 0 again at the barrier.
+  std::vector<std::vector<std::uint32_t>> pending(
       options_.combine_messages ? p : 0);
+  for (PartitionId j = 0; j < pending.size(); ++j) {
+    pending[j].assign(values[j].size(), 0);
+  }
 
   // Program-defined per-worker scratch, persistent across supersteps.
   std::vector<std::any> worker_state(p);
@@ -366,11 +318,6 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
 
   for (std::uint32_t step = start_step; step < options_.max_supersteps;
        ++step) {
-    PhaseWallAccum phase_accum;
-    if (options_.phase_stats) {
-      load_slot = &phase_accum.load;
-      release_slot = &phase_accum.release;
-    }
     std::vector<WorkerStepStats> step_stats(p);
     // Message counters, reduced after the graph drains. Plain arrays:
     // every send happens on the route-then-broadcast chain, which orders
@@ -400,8 +347,6 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
     // of emission routing — single-copy vertices resolve in place.
     auto compute_worker = [&](PartitionId i) {
       const obs::trace::Span span("compute", i);
-      const PhaseTimer phase(options_.phase_stats ? &phase_accum.compute
-                                                  : nullptr);
       const LocalSubgraph& ls = sub(i);
       WorkerContext ctx(ls, values[i], acc[i], has_acc[i], emitted[i],
                         program);
@@ -443,8 +388,6 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
     // the historical append order.
     auto route_worker = [&](PartitionId i) {
       const obs::trace::Span span("route", i);
-      const PhaseTimer phase(options_.phase_stats ? &phase_accum.route
-                                                  : nullptr);
       const LocalSubgraph& ls = sub(i);
       for (const VertexId lv : emitted[i]) {
         if (ls.is_replicated[lv] == 0 || ls.is_master[lv] != 0) continue;
@@ -454,12 +397,15 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
         bool enqueue = true;
         if (options_.combine_messages) {
           // A message for this vertex already pending at m? Merge into it.
-          const auto [it, inserted] =
-              pending[m].try_emplace(master_lv, to_master[m].size());
-          if (!inserted) {
-            WireMessage& msg = to_master[m][it->second];
+          std::uint32_t& slot = pending[m][master_lv];
+          if (slot != 0) {
+            EBV_ASSERT(slot <= to_master[m].size() &&
+                       to_master[m][slot - 1].local == master_lv);
+            WireMessage& msg = to_master[m][slot - 1];
             msg.value = program.combine(msg.value, acc[i][lv]);
             enqueue = false;
+          } else {
+            slot = static_cast<std::uint32_t>(to_master[m].size()) + 1;
           }
         }
         if (enqueue) {
@@ -475,8 +421,6 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
     // route chain so the two never interleave counter writes.
     auto broadcast_worker = [&](PartitionId m) {
       const obs::trace::Span span("broadcast", m);
-      const PhaseTimer phase(options_.phase_stats ? &phase_accum.broadcast
-                                                  : nullptr);
       for (const StagedValue& staged : bcast[m]) {
         const auto peers = graph.parts_of(staged.global);
         const auto peer_lvs = graph.local_ids_of(staged.global);
@@ -494,13 +438,12 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
     // apply, and stage broadcasts for changed values.
     auto merge_worker = [&](PartitionId m) {
       const obs::trace::Span span("merge", m);
-      const PhaseTimer phase(options_.phase_stats ? &phase_accum.merge
-                                                  : nullptr);
       const LocalSubgraph& ls = sub(m);
       for (const WireMessage& msg : to_master[m]) {
         const VertexId lv = msg.local;
         EBV_ASSERT(lv < ls.num_vertices());
         EBV_ASSERT(ls.is_master[lv] != 0);
+        if (options_.combine_messages) pending[m][lv] = 0;
         if (has_acc[m][lv] != 0) {
           acc[m][lv] = program.combine(acc[m][lv], msg.value);
         } else {
@@ -510,7 +453,6 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
         }
       }
       to_master[m].clear();
-      if (options_.combine_messages) pending[m].clear();
 
       bool worker_changed = false;
       for (const VertexId lv : emitted[m]) {
@@ -541,8 +483,6 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
     // install(i): mirrors adopt broadcast values.
     auto install_worker = [&](PartitionId i) {
       const obs::trace::Span span("install", i);
-      const PhaseTimer phase(options_.phase_stats ? &phase_accum.install
-                                                  : nullptr);
       const LocalSubgraph& ls = sub(i);
       bool worker_changed = false;
       for (const WireMessage& msg : to_mirror[i]) {
@@ -671,15 +611,10 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
       }
     }
 
-    double superstep_wall = 0.0;
     {
       const obs::trace::Span span("superstep", step);
-      const Timer superstep_timer;
       tg.run(team);
-      if (options_.phase_stats) superstep_wall = superstep_timer.seconds();
     }
-    load_slot = nullptr;
-    release_slot = nullptr;
 
     // A crash inside the superstep (modelled by the injected abort)
     // reaches the outside world before any of this superstep's state is
@@ -721,19 +656,6 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
     }
     stats.steps.push_back(std::move(step_stats));
     ++stats.supersteps;
-    if (options_.phase_stats) {
-      PhaseWallStats pws;
-      pws.compute_seconds = phase_accum.compute.load(std::memory_order_relaxed);
-      pws.route_seconds = phase_accum.route.load(std::memory_order_relaxed);
-      pws.merge_seconds = phase_accum.merge.load(std::memory_order_relaxed);
-      pws.broadcast_seconds =
-          phase_accum.broadcast.load(std::memory_order_relaxed);
-      pws.install_seconds = phase_accum.install.load(std::memory_order_relaxed);
-      pws.load_seconds = phase_accum.load.load(std::memory_order_relaxed);
-      pws.release_seconds = phase_accum.release.load(std::memory_order_relaxed);
-      pws.superstep_seconds = superstep_wall;
-      stats.phase_wall.push_back(pws);
-    }
 
     const bool more_fixed = fixed.has_value() && step + 1 < *fixed;
     const bool done = fixed.has_value() ? !more_fixed : !any_change;

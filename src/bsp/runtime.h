@@ -29,6 +29,14 @@
 // virtual time are bit-identical to the historical three-sweep schedule
 // at every budget and team size (docs/ARCHITECTURE.md, "The task-graph
 // superstep scheduler").
+//
+// Instrumentation: the runtime's one timing path is obs::trace spans —
+// one per task body (compute/route/merge/broadcast/install/load/
+// release), one `superstep` span around each task graph (arg: the
+// absolute step) and one per checkpoint publish. They cost one relaxed
+// load each while the tracer is disarmed. `run --trace` renders them and
+// `run --phase-stats` aggregates them (analysis::format_phase_breakdown);
+// RunStats itself carries only the run's wall and CPU seconds.
 #pragma once
 
 #include <any>
@@ -110,23 +118,6 @@ class SubgraphProgram {
       const {}
 };
 
-/// Per-superstep real-time attribution across the scheduler's task
-/// kinds, summed over all workers (RunOptions::phase_stats; diagnostic
-/// only — real seconds, not the virtual-time cost model, and never part
-/// of the bit-identity contract).
-struct PhaseWallStats {
-  double compute_seconds = 0.0;
-  double route_seconds = 0.0;
-  double merge_seconds = 0.0;
-  double broadcast_seconds = 0.0;
-  double install_seconds = 0.0;
-  double load_seconds = 0.0;
-  double release_seconds = 0.0;
-  /// Wall time of the whole superstep task graph (phases overlap under
-  /// kParallel, so the per-phase sums can exceed this).
-  double superstep_seconds = 0.0;
-};
-
 /// Per-worker, per-superstep instrumentation (virtual time).
 struct WorkerStepStats {
   double comp_seconds = 0.0;
@@ -148,11 +139,6 @@ struct RunStats {
   double comm_seconds = 0.0;       // paper `comm`:  Σ_i Σ_k comm_k_i / p
   double delta_c_seconds = 0.0;    // paper ΔC: Σ_k (max_i − min_i)(comp+comm)
   double wall_seconds = 0.0;       // real harness time (diagnostic only)
-
-  /// Per-superstep wall breakdown; empty unless RunOptions::phase_stats.
-  /// On a resumed run only the post-restore supersteps appear (rows
-  /// align with the LAST phase_wall.size() supersteps). Diagnostic only.
-  std::vector<PhaseWallStats> phase_wall;
 
   /// Process CPU seconds consumed by the run (diagnostic only; paired
   /// with wall_seconds, cpu/wall approximates busy cores).
@@ -243,12 +229,6 @@ struct RunOptions {
   /// resident_workers × prefetch × team-size combination. Rejects a
   /// checkpoint whose graph shape or program name does not match.
   bool resume = false;
-
-  /// Collect the per-superstep × per-phase wall breakdown into
-  /// RunStats::phase_wall (`run --phase-stats`). Costs two clock reads
-  /// per task when on; zero instrumentation when off. Output tables and
-  /// results are unchanged either way — the breakdown is additive.
-  bool phase_stats = false;
 
   /// Opt-in combining: merge same-destination-vertex mirror→master
   /// messages with the program's combine() before enqueue, PowerGraph

@@ -2,41 +2,24 @@
 
 #include <ctime>
 
-#if defined(_WIN32)
-#include <chrono>
-#endif
-
 namespace ebv {
 
 #if defined(_WIN32)
 
 // No clock_gettime on MSVC: fall back to std::clock (process CPU time
-// per the C standard) and approximate the thread reading with it too —
-// the phase-stats footer is diagnostic-only.
+// per the C standard) — the reading is diagnostic-only.
 double process_cpu_seconds() {
   return static_cast<double>(std::clock()) / CLOCKS_PER_SEC;
 }
 
-double thread_cpu_seconds() { return process_cpu_seconds(); }
-
 #else
 
-namespace {
-
-double cpu_seconds(clockid_t id) {
+double process_cpu_seconds() {
   timespec ts{};
-  if (clock_gettime(id, &ts) != 0) return 0.0;
+  if (clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts) != 0) return 0.0;
   return static_cast<double>(ts.tv_sec) +
          static_cast<double>(ts.tv_nsec) * 1e-9;
 }
-
-}  // namespace
-
-double process_cpu_seconds() {
-  return cpu_seconds(CLOCK_PROCESS_CPUTIME_ID);
-}
-
-double thread_cpu_seconds() { return cpu_seconds(CLOCK_THREAD_CPUTIME_ID); }
 
 #endif
 

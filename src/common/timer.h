@@ -4,8 +4,8 @@
 // cost model in bsp/cost_model.h.
 //
 // The clock is guaranteed steady (never steps backwards across NTP
-// adjustments — the static_assert below pins it), so trace timestamps
-// and phase-stats deltas are always non-negative.
+// adjustments — the static_assert below pins it), so elapsed readings
+// are always non-negative. obs::trace spans read the same clock.
 #pragma once
 
 #include <chrono>
@@ -28,17 +28,15 @@ class Timer {
  private:
   using Clock = std::chrono::steady_clock;
   static_assert(Clock::is_steady,
-                "Timer requires a monotonic clock: trace timestamps and "
-                "phase-stats deltas must never go backwards");
+                "Timer requires a monotonic clock: elapsed readings must "
+                "never go backwards");
   Clock::time_point start_;
 };
 
 /// CPU seconds consumed by the whole process (every thread) since it
-/// started. Paired with Timer wall readings in the `run --phase-stats`
-/// footer to show parallel efficiency (cpu/wall ≈ busy cores).
+/// started. Paired with Timer wall readings in RunStats (the
+/// `run --phase-stats` footer) to show parallel efficiency (cpu/wall ≈
+/// busy cores).
 [[nodiscard]] double process_cpu_seconds();
-
-/// CPU seconds consumed by the calling thread since it started.
-[[nodiscard]] double thread_cpu_seconds();
 
 }  // namespace ebv

@@ -17,17 +17,8 @@ std::atomic<bool> g_enabled{false};
 
 namespace {
 
-struct Event {
-  const char* name;
-  char ph;  // 'X' complete, 'i' instant
-  std::uint64_t ts_ns;
-  std::uint64_t dur_ns;
-  std::uint32_t tid;
-  std::uint64_t arg;
-};
-
 /// Per-thread event buffer. Appends come only from the owning thread;
-/// stop_and_render() reads it after traced work quiesced (the tracer's
+/// stop_and_collect() reads it after traced work quiesced (the tracer's
 /// documented contract), so the events vector itself needs no lock.
 struct ThreadBuffer {
   std::uint64_t epoch = 0;
@@ -95,35 +86,8 @@ void append_us(std::string& out, std::uint64_t ns) {
   out += buf;
 }
 
-}  // namespace
-
-void start() {
-  Collector& c = collector();
-  c.t0_ns.store(now_ns(), std::memory_order_relaxed);
-  c.epoch.fetch_add(1, std::memory_order_relaxed);
-  internal::g_enabled.store(true);
-}
-
-std::string stop_and_render() {
-  internal::g_enabled.store(false);
-  Collector& c = collector();
-  std::vector<Event> events;
-  {
-    MutexLock lock(c.mu);
-    const std::uint64_t epoch = c.epoch.load(std::memory_order_relaxed);
-    for (const auto& buf : c.buffers) {
-      if (buf->epoch != epoch) continue;
-      events.insert(events.end(), buf->events.begin(), buf->events.end());
-    }
-  }
-  // Stable presentation order: per track by start time, parents (longer
-  // duration) before the children they contain when starts coincide.
-  std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
-    if (a.tid != b.tid) return a.tid < b.tid;
-    if (a.ts_ns != b.ts_ns) return a.ts_ns < b.ts_ns;
-    return a.dur_ns > b.dur_ns;
-  });
-
+/// `events` as a Chrome trace-event JSON document.
+std::string render(const std::vector<Event>& events) {
   std::string out = "{\"traceEvents\":[";
   bool first = true;
   const auto comma = [&] {
@@ -172,10 +136,42 @@ std::string stop_and_render() {
   return out;
 }
 
-void stop_and_write(const std::string& path) {
-  const std::string json = stop_and_render();
+}  // namespace
+
+void start() {
+  Collector& c = collector();
+  c.t0_ns.store(now_ns(), std::memory_order_relaxed);
+  c.epoch.fetch_add(1, std::memory_order_relaxed);
+  internal::g_enabled.store(true);
+}
+
+std::vector<Event> stop_and_collect() {
+  internal::g_enabled.store(false);
+  Collector& c = collector();
+  std::vector<Event> events;
+  {
+    MutexLock lock(c.mu);
+    const std::uint64_t epoch = c.epoch.load(std::memory_order_relaxed);
+    for (const auto& buf : c.buffers) {
+      if (buf->epoch != epoch) continue;
+      events.insert(events.end(), buf->events.begin(), buf->events.end());
+    }
+  }
+  // Stable presentation order: per track by start time, parents (longer
+  // duration) before the children they contain when starts coincide.
+  std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
+    if (a.tid != b.tid) return a.tid < b.tid;
+    if (a.ts_ns != b.ts_ns) return a.ts_ns < b.ts_ns;
+    return a.dur_ns > b.dur_ns;
+  });
+  return events;
+}
+
+std::string stop_and_render() { return render(stop_and_collect()); }
+
+void write(const std::string& path, const std::vector<Event>& events) {
   std::ofstream out(path);
-  out << json;
+  out << render(events);
   out.flush();
   if (!out) {
     throw std::runtime_error("trace: cannot write " + path);

@@ -9,8 +9,10 @@
 //  * Event names must be string literals (stored as const char*, escaped
 //    never — the tracer does not copy or quote them).
 //  * Events buffer per-thread (lock-free append after a once-per-thread
-//    registration); stop_and_render() must run after traced work has
-//    quiesced — it is the CLI epilogue, not a live sampler.
+//    registration); stop_and_collect() must run after traced work has
+//    quiesced — it is the CLI epilogue, not a live sampler. Every view
+//    (the JSON of `--trace`, the tables of `run --phase-stats`) is
+//    derived from the one collected event vector.
 //  * Tracks: tid 0 is the calling/main thread; the task-graph executor
 //    assigns tid rank+1 via ThreadTrackGuard so every rank gets its own
 //    row and spans nest per track.
@@ -20,6 +22,7 @@
 #include <chrono>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace ebv::obs::trace {
 
@@ -29,7 +32,17 @@ namespace internal {
 extern std::atomic<bool> g_enabled;
 }  // namespace internal
 
-/// True between start() and stop_and_render(). Relaxed: instrumentation
+/// One buffered event, 48 bytes.
+struct Event {
+  const char* name;
+  char ph;  // 'X' complete, 'i' instant
+  std::uint64_t ts_ns;   // since start()
+  std::uint64_t dur_ns;  // 0 for instants
+  std::uint32_t tid;     // track
+  std::uint64_t arg;     // kNoArg when none
+};
+
+/// True between start() and stop_and_collect(). Relaxed: instrumentation
 /// gates on this and tolerates the boundary race (events straddling a
 /// stop are dropped by their epoch check).
 inline bool enabled() {
@@ -40,13 +53,18 @@ inline bool enabled() {
 /// any earlier trace, start accepting events.
 void start();
 
-/// Disarm and render every buffered event as a Chrome trace-event JSON
-/// document ({"traceEvents":[...]}). Call after traced work quiesced.
+/// Disarm and return every event buffered since start(), per track by
+/// start time, a parent before the children it contains when their
+/// starts coincide. Call after traced work quiesced.
+[[nodiscard]] std::vector<Event> stop_and_collect();
+
+/// stop_and_collect() rendered as a Chrome trace-event JSON document
+/// ({"traceEvents":[...]}).
 [[nodiscard]] std::string stop_and_render();
 
-/// stop_and_render() straight to a file; throws std::runtime_error with
-/// the path on I/O failure.
-void stop_and_write(const std::string& path);
+/// `events` as that JSON document, to a file; throws std::runtime_error
+/// with the path on I/O failure.
+void write(const std::string& path, const std::vector<Event>& events);
 
 /// Set the calling thread's track id for subsequent events (0 = main).
 void set_thread_track(std::uint32_t track);

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "common/assert.h"
+#include "obs/trace.h"
 #include "partition/eva_scorer.h"
 
 namespace ebv {
@@ -26,15 +27,20 @@ EdgePartition EbvPartitioner::partition_traced(
   check_partition_config(graph, config);
   trace.clear();
 
+  std::vector<EdgeId> order;
+  {
+    const obs::trace::Span span("partition.edge-order");
+    order = make_edge_order(graph, config.edge_order, config.seed,
+                            config.num_threads);
+  }
+
+  const obs::trace::Span span("partition.eva-score");
   detail::EvaState state(graph, config);
   std::uint64_t total_replicas = 0;  // Σ vcount[i], for the growth trace
 
   EdgePartition result;
   result.num_parts = config.num_parts;
   result.part_of_edge.assign(graph.num_edges(), kInvalidPartition);
-
-  const std::vector<EdgeId> order = make_edge_order(
-      graph, config.edge_order, config.seed, config.num_threads);
 
   const EdgeId sample_every =
       num_samples == 0

@@ -4,6 +4,7 @@
 #include <bit>
 
 #include "common/assert.h"
+#include "obs/trace.h"
 #include "partition/replica_masks.h"
 
 namespace ebv {
@@ -26,6 +27,7 @@ std::vector<std::vector<std::uint8_t>> vertex_membership(
 
 PartitionMetrics compute_metrics(const GraphView& graph,
                                  const EdgePartition& partition) {
+  const obs::trace::Span span("partition.metrics");
   EBV_REQUIRE(partition.part_of_edge.size() == graph.num_edges(),
               "partition size does not match the graph's edge count");
   const PartitionId p = partition.num_parts;

@@ -318,11 +318,11 @@ TEST(Trace, TaskGraphEmitsStealAndParkOnRankTracks) {
   EXPECT_GE(tids.back(), 1.0);
 }
 
-TEST(Trace, StopAndWriteProducesReadableFile) {
+TEST(Trace, WriteProducesReadableFile) {
   start();
   { const Span span("file-span"); }
   const std::string path = ::testing::TempDir() + "obs_trace_test.json";
-  stop_and_write(path);
+  write(path, stop_and_collect());
   std::string content;
   {
     std::FILE* f = std::fopen(path.c_str(), "rb");

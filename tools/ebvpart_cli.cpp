@@ -70,25 +70,32 @@ constexpr std::uint64_t kVertexMax = kInvalidVertex - 1;
 constexpr std::uint64_t kPartsMax = kInvalidPartition - 1;
 
 /// `--trace PATH` support shared by convert/partition/run: arms the span
-/// tracer before the command's work and writes the Chrome trace-event
-/// JSON afterwards. The "wrote trace" notice goes to STDERR — traced
-/// stdout must stay byte-identical to the untraced run (the CI e2e
-/// diffs them).
-std::string trace_path_from(const ArgMap& args) {
+/// tracer before the command's work when PATH is given or `arm` is set
+/// (run --phase-stats 1), and returns PATH ("" when not given).
+std::string trace_path_from(const ArgMap& args, bool arm = false) {
   // Not via cli::get — an empty fallback there means "required flag".
   const std::string path =
       args.count("trace") != 0 ? args.at("trace") : std::string();
-  if (!path.empty()) obs::trace::start();
+  if (arm || !path.empty()) obs::trace::start();
   return path;
 }
 
-void finish_trace(const std::string& path) {
-  if (path.empty()) return;
-  obs::trace::stop_and_write(path);
-  std::cerr << "wrote trace " << path << "\n";
+/// Disarm the tracer and return its events (none when it was not armed),
+/// writing them as Chrome trace-event JSON to `path` when given. The
+/// "wrote trace" notice goes to STDERR — traced stdout must stay
+/// byte-identical to the untraced run (the CI e2e diffs them).
+std::vector<obs::trace::Event> finish_trace(const std::string& path) {
+  if (!obs::trace::enabled()) return {};
+  std::vector<obs::trace::Event> events = obs::trace::stop_and_collect();
+  if (!path.empty()) {
+    obs::trace::write(path, events);
+    std::cerr << "wrote trace " << path << "\n";
+  }
+  return events;
 }
 
 Graph load_graph(const std::string& path) {
+  const obs::trace::Span span("graph.open");
   if (path.ends_with(".ebvg")) return io::read_binary_file(path);
   if (path.ends_with(".ebvs")) return io::read_snapshot_file(path);
   return io::read_edge_list_file(path);
@@ -96,6 +103,7 @@ Graph load_graph(const std::string& path) {
 
 /// Open a validated mmap view for commands taking --mmap <snapshot>.
 MappedGraph open_mapped(const std::string& path) {
+  const obs::trace::Span span("graph.open");
   MappedGraph mapped(path);
   mapped.validate();
   return mapped;
@@ -283,14 +291,13 @@ int cmd_partition(const ArgMap& args) {
     const MappedGraph mapped = open_mapped(args.at("mmap"));
     const Timer timer;
     {
-      // Coarse command-level span (the streaming partitioners have no
-      // internal spans); metric computation is traced separately.
+      // Command-level span; EBV adds its edge-order and Eva-scoring
+      // spans inside it, and compute_metrics its own.
       const obs::trace::Span span("partition");
       partition =
           make_partitioner(algo)->partition_view(mapped.view(), config);
     }
     elapsed = timer.seconds();
-    const obs::trace::Span span("partition.metrics");
     m = compute_metrics(mapped.view(), partition);
   } else {
     const Graph graph = load_graph(get(args, "graph"));
@@ -300,7 +307,6 @@ int cmd_partition(const ArgMap& args) {
       partition = make_partitioner(algo)->partition(graph, config);
     }
     elapsed = timer.seconds();
-    const obs::trace::Span span("partition.metrics");
     m = compute_metrics(graph, partition);
   }
   finish_trace(trace_path);
@@ -380,12 +386,12 @@ int cmd_run(const ArgMap& args) {
       kU32Max));
   options.resume = get_uint(args, "resume", "0", 1) != 0;
 
-  // --phase-stats 1 collects a per-superstep wall breakdown by scheduler
-  // task kind and prints it AFTER the run table (additive; the default
-  // table stays byte-identical). --trace PATH writes a Chrome
-  // trace-event JSON of the whole run (task spans, load/release, steal
-  // and park instants) — stdout is unchanged, the notice goes to stderr.
-  options.phase_stats = get_uint(args, "phase-stats", "0", 1) != 0;
+  // --phase-stats 1 prints, AFTER the run table (additive; the default
+  // table stays byte-identical), tables computed from the command's
+  // obs::trace spans; --trace PATH writes those spans as Chrome JSON
+  // (stdout unchanged, the notice goes to stderr). Either flag arms the
+  // tracer before the graph opens, and one collection feeds both.
+  const bool show_phases = get_uint(args, "phase-stats", "0", 1) != 0;
 
   // Reclaim temp files (EBVW spill snapshots, checkpoint temps) a
   // killed run left behind, before we create ours.
@@ -401,6 +407,7 @@ int cmd_run(const ArgMap& args) {
   // from the mapped snapshot sections: no resident Graph is ever built,
   // and results are bit-identical to --graph on the same snapshot.
   const bool use_mmap = args.count("mmap") != 0;
+  const std::string trace_path = trace_path_from(args, show_phases);
   std::optional<MappedGraph> mapped;
   Graph resident;
   if (use_mmap) {
@@ -410,7 +417,6 @@ int cmd_run(const ArgMap& args) {
   }
   const GraphView view = use_mmap ? mapped->view() : GraphView(resident);
 
-  const std::string trace_path = trace_path_from(args);
   analysis::ExperimentResult result;
   if (args.count("partition") != 0) {
     const EdgePartition partition =
@@ -430,14 +436,14 @@ int cmd_run(const ArgMap& args) {
                                             options);
   }
 
-  finish_trace(trace_path);
+  const std::vector<obs::trace::Event> events = finish_trace(trace_path);
 
   // Shared renderer: the serve daemon's kRun responses go through the
   // same function, so daemon output is byte-identical to this command.
   std::cout << analysis::format_run_table(app_name, result,
                                           options.combine_messages);
-  if (options.phase_stats) {
-    std::cout << analysis::format_phase_stats_table(result.run);
+  if (show_phases) {
+    std::cout << analysis::format_phase_breakdown(events, result.run);
   }
   return 0;
 }
@@ -951,8 +957,9 @@ void print_usage(std::ostream& out) {
          "--trace t.json (convert/partition/run) writes a Chrome\n"
          "trace-event JSON of the command (open in Perfetto or\n"
          "chrome://tracing); stdout stays byte-identical to the untraced\n"
-         "run. run --phase-stats 1 appends a per-superstep wall breakdown\n"
-         "by scheduler task kind; query --op metrics renders a running\n"
+         "run. run --phase-stats 1 appends a layer table and a\n"
+         "per-superstep wall breakdown by scheduler task kind, both\n"
+         "computed from those spans; query --op metrics renders a running\n"
          "daemon's live latency + counter registry (same renderer as the\n"
          "drain table).\n"
          "Flags shown as 0|1 accept exactly 0 or 1.\n"
