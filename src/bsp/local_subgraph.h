@@ -44,7 +44,7 @@ struct LocalSubgraph {
   /// in ascending global order), so no global→local hash map is stored.
   /// It serves a program's one source lookup per run (SSSP, BFS); the
   /// runtime's messages and DistributedGraph's edges carry local ids
-  /// from the routing tables instead (DistributedGraph::local_ids_of).
+  /// from the routing tables instead (ReplicaTable::local_ids_of).
   [[nodiscard]] VertexId local_of(VertexId global) const {
     const auto it =
         std::lower_bound(global_ids.begin(), global_ids.end(), global);

@@ -183,7 +183,7 @@ void SpillStoreWriter::finish() {
   finished_ = true;
 }
 
-SpillStore::SpillStore(const std::string& path) : path_(path) {
+SpillStore::SpillStore(const std::string& path) {
   try {
     file_ = io::detail::MappedFile(path);
   } catch (const std::runtime_error& e) {

@@ -101,7 +101,6 @@ class SpillStore {
   }
   [[nodiscard]] EdgeId num_global_edges() const { return num_global_edges_; }
   [[nodiscard]] bool weighted() const { return weighted_; }
-  [[nodiscard]] const std::string& path() const { return path_; }
   [[nodiscard]] std::size_t mapped_bytes() const { return file_.size(); }
 
   /// Materialise worker i: O(|Vi| + |Ei|) copies of its sections, with
@@ -111,7 +110,6 @@ class SpillStore {
 
  private:
   io::detail::MappedFile file_;
-  std::string path_;
   PartitionId num_workers_ = 0;
   VertexId num_global_vertices_ = 0;
   EdgeId num_global_edges_ = 0;

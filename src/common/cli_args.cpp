@@ -1,9 +1,41 @@
 #include "common/cli_args.h"
 
 #include <cstring>
+#include <set>
 #include <stdexcept>
 
 namespace ebv::cli {
+namespace {
+
+/// The flags each ebvpart verb reads, besides the global --failpoints.
+const std::map<std::string, std::set<std::string>>& verb_flags() {
+  static const std::map<std::string, std::set<std::string>> flags = {
+      {"generate",
+       {"family", "vertices", "edges", "eta", "seed", "side", "attach",
+        "out"}},
+      {"convert",
+       {"in", "out", "budget-mb", "threads", "dedup", "keep-self-loops",
+        "tmp", "trace"}},
+      {"stats", {"graph", "mmap", "deep"}},
+      {"partition",
+       {"graph", "mmap", "algo", "parts", "alpha", "beta", "order", "seed",
+        "threads", "batch", "out", "trace"}},
+      {"run",
+       {"graph", "mmap", "partition", "algo", "parts", "app", "threads",
+        "resident-workers", "spill-dir", "combine", "prefetch",
+        "checkpoint-dir", "checkpoint-every", "resume", "trace",
+        "phase-stats"}},
+      {"serve",
+       {"mmap", "partition", "socket", "workers", "queues", "max-sessions",
+        "neighbor-limit", "max-run-parts", "duration"}},
+      {"query",
+       {"socket", "op", "graph-index", "vertices", "edges", "source", "hops",
+        "limit", "app", "parts", "algo", "kind", "count"}},
+  };
+  return flags;
+}
+
+}  // namespace
 
 ArgMap parse_args(int argc, char** argv, int first) {
   ArgMap args;
@@ -18,6 +50,17 @@ ArgMap parse_args(int argc, char** argv, int first) {
     args[argv[i] + 2] = argv[i + 1];
   }
   return args;
+}
+
+void check_flags(const std::string& verb, const ArgMap& args) {
+  const auto known = verb_flags().find(verb);
+  if (known == verb_flags().end()) return;
+  for (const auto& [flag, value] : args) {
+    if (flag != "failpoints" && known->second.count(flag) == 0) {
+      throw std::invalid_argument("unknown flag --" + flag + " for '" +
+                                  verb + "'");
+    }
+  }
 }
 
 std::string get(const ArgMap& args, const std::string& key,

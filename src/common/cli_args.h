@@ -22,6 +22,13 @@ using ArgMap = std::map<std::string, std::string>;
 /// last value.
 ArgMap parse_args(int argc, char** argv, int first);
 
+/// Throws std::invalid_argument ("unknown flag --X for 'verb'") when
+/// `args` holds a flag that ebvpart's `verb` does not read. Each verb's
+/// flags are listed once, in cli_args.cpp; every verb also takes the
+/// global --failpoints. A verb the list does not name is left to the
+/// caller, which prints the usage.
+void check_flags(const std::string& verb, const ArgMap& args);
+
 /// Value of --key, or `fallback` when absent and non-empty; throws
 /// std::invalid_argument naming the flag when absent with no fallback.
 std::string get(const ArgMap& args, const std::string& key,

@@ -9,22 +9,6 @@
 
 namespace ebv {
 
-std::vector<std::vector<std::uint8_t>> vertex_membership(
-    const GraphView& graph, const EdgePartition& partition) {
-  EBV_REQUIRE(partition.part_of_edge.size() == graph.num_edges(),
-              "partition size does not match the graph's edge count");
-  std::vector<std::vector<std::uint8_t>> member(
-      partition.num_parts,
-      std::vector<std::uint8_t>(graph.num_vertices(), 0));
-  for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-    const PartitionId i = partition.part_of_edge[e];
-    EBV_REQUIRE(i < partition.num_parts, "edge assigned to invalid part");
-    member[i][graph.edge(e).src] = 1;
-    member[i][graph.edge(e).dst] = 1;
-  }
-  return member;
-}
-
 PartitionMetrics compute_metrics(const GraphView& graph,
                                  const EdgePartition& partition) {
   const obs::trace::Span span("partition.metrics");
@@ -37,10 +21,9 @@ PartitionMetrics compute_metrics(const GraphView& graph,
   m.vertices_per_part.assign(p, 0);
 
   // Vertex membership as vertex-major bitmasks (|V|·⌈p/64⌉ words) rather
-  // than the part-major p×|V| byte matrix of vertex_membership(): 8×
-  // smaller, which matters because the metrics pass follows an
-  // out-of-core `--mmap` partition run and must not become its resident
-  // high-water mark.
+  // than a part-major p×|V| byte matrix: 8× smaller, which matters
+  // because the metrics pass follows an out-of-core `--mmap` partition
+  // run and must not become its resident high-water mark.
   ReplicaMasks member(graph.num_vertices(), p);
   for (EdgeId e = 0; e < graph.num_edges(); ++e) {
     const PartitionId i = partition.part_of_edge[e];

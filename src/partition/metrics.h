@@ -28,11 +28,6 @@ struct PartitionMetrics {
 PartitionMetrics compute_metrics(const GraphView& graph,
                                  const EdgePartition& partition);
 
-/// Per-part vertex membership bitmaps (part-major, |V| bytes per part) —
-/// shared by metrics and distributed-graph construction.
-std::vector<std::vector<std::uint8_t>> vertex_membership(
-    const GraphView& graph, const EdgePartition& partition);
-
 /// Edge-cut (vertex partitioning) metrics — the paper's §III-C variant for
 /// METIS-style partitioners: V_i are the *disjoint* owned vertex sets,
 /// E_i = {(u,v) : u ∈ V_i ∨ v ∈ V_i} (cross edges replicated into both

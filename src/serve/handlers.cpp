@@ -167,7 +167,7 @@ std::vector<ReplicaInfo> handle_replicas(const ServeContext& context,
   if (req.vertices.size() > context.limits.max_batch) {
     throw BadRequestError("replicas batch exceeds the server's --max-batch");
   }
-  const bsp::DistributedGraph& routing = *entry.routing;
+  const bsp::ReplicaTable& routing = *entry.routing;
   std::vector<ReplicaInfo> out;
   out.reserve(req.vertices.size());
   for (const VertexId v : req.vertices) {

@@ -1,8 +1,8 @@
 // Per-class request handlers for the serve daemon, written as pure
 // functions over an immutable ServeContext so they are trivially
 // callable from any worker thread: the context is mmapped/built once at
-// startup (MappedGraph snapshots + DistributedGraph routing tables,
-// optionally EBVW-spilled) and only read afterwards.
+// startup (MappedGraph snapshots + ReplicaTable routing tables) and only
+// read afterwards.
 //
 // Handlers signal caller mistakes with BadRequestError (mapped to
 // Status::kBadRequest and a flag-named "error: ..." body by the server);
@@ -16,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "bsp/distributed_graph.h"
+#include "bsp/replica_table.h"
 #include "graph/mapped_graph.h"
 #include "partition/partitioner.h"
 #include "serve/protocol.h"
@@ -42,16 +42,15 @@ struct ServeLimits {
 };
 
 /// One served snapshot: the mmapped EBVS graph, plus (when a partition
-/// was given) the .ebvp assignment and the replica/master routing tables
-/// built through DistributedGraph — with a spill directory, that
-/// construction streams the per-worker subgraphs into an EBVW snapshot
-/// (bsp/spill_store.h) so only the O(|V|) routing tables stay resident.
+/// was given) the .ebvp assignment and its replica/master routing table.
+/// Only the table is built: the `replicas` lookup reads nothing else, so
+/// no worker subgraph exists until a `run` request builds its own.
 struct GraphEntry {
   std::string name;           // display name (file stem)
   std::string snapshot_path;  // the .ebvs file
   MappedGraph mapped;
   std::optional<EdgePartition> partition;
-  std::optional<bsp::DistributedGraph> routing;
+  std::optional<bsp::ReplicaTable> routing;
 
   GraphEntry(std::string name_, std::string snapshot_path_,
              MappedGraph mapped_)

@@ -129,5 +129,40 @@ TEST(GetHelpers, ParseThroughArgMap) {
   EXPECT_DOUBLE_EQ(get_double(args, "beta", "1.0"), 1.0);
 }
 
+TEST(CheckFlags, AcceptsEveryFlagTheVerbReads) {
+  EXPECT_NO_THROW(check_flags("run", {{"mmap", "g.ebvs"},
+                                      {"parts", "64"},
+                                      {"resident-workers", "1"},
+                                      {"spill-dir", "/tmp"},
+                                      {"threads", "4"}}));
+  EXPECT_NO_THROW(check_flags("serve", {{"mmap", "g.ebvs"},
+                                        {"partition", "p.ebvp"},
+                                        {"duration", "1"}}));
+  // --failpoints is global: every verb takes it.
+  for (const char* verb :
+       {"generate", "convert", "stats", "partition", "run", "serve",
+        "query"}) {
+    EXPECT_NO_THROW(check_flags(verb, {{"failpoints", "x=abort"}})) << verb;
+  }
+}
+
+TEST(CheckFlags, RejectsFlagsTheVerbDoesNotRead) {
+  // A misspelt flag must not run the command without it: ignoring
+  // `--resident-worker 1` would give a fully resident run.
+  EXPECT_EQ(thrown_message([] {
+              check_flags("run", {{"mmap", "g.ebvs"},
+                                  {"resident-worker", "1"}});
+            }),
+            "unknown flag --resident-worker for 'run'");
+  // serve builds only the routing table; it has no spill directory.
+  EXPECT_EQ(thrown_message([] {
+              check_flags("serve", {{"mmap", "g.ebvs"},
+                                    {"spill-dir", "/tmp"}});
+            }),
+            "unknown flag --spill-dir for 'serve'");
+  // A flag of another verb is no flag of this one.
+  EXPECT_THROW(check_flags("stats", {{"parts", "8"}}), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace ebv::cli

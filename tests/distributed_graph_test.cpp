@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "bsp/distributed_graph.h"
@@ -11,6 +12,7 @@ namespace ebv {
 namespace {
 
 using bsp::DistributedGraph;
+using bsp::ReplicaTable;
 
 EdgePartition round_robin(const Graph& g, PartitionId p) {
   EdgePartition part{p, std::vector<PartitionId>(g.num_edges())};
@@ -146,6 +148,15 @@ TEST(DistributedGraph, RejectsMismatchedPartition) {
   EXPECT_THROW(DistributedGraph(g, bad), std::invalid_argument);
 }
 
+TEST(ReplicaTable, RejectsInvalidPartitions) {
+  const Graph g(3, {{0, 1}, {1, 2}});
+  EXPECT_THROW(ReplicaTable(g, EdgePartition{2, {0}}), std::invalid_argument);
+  EXPECT_THROW(ReplicaTable(g, EdgePartition{2, {0, 2}}),
+               std::invalid_argument);
+  EXPECT_THROW(ReplicaTable(g, EdgePartition{0, {0, 0}}),
+               std::invalid_argument);
+}
+
 // Regression: a self-loop is ONE incidence of its vertex, not two. With
 // the old double count, part 0's single self-loop would tie part 1's two
 // real edges (2 vs 2) and steal the master via the lowest-id tie-break.
@@ -183,7 +194,9 @@ TEST(DistributedGraph, OutOfRangeVertexIdThrows) {
 // The routing tables name every replica by its local id, and the runtime
 // indexes worker arrays with those ids unchecked against global_ids.
 // Above 64 parts a replica mask spans several words, so the slot ranks
-// that produce the ids cross word boundaries (p = 65 and 200).
+// that produce the ids cross word boundaries (p = 65 and 200). A
+// standalone ReplicaTable (what `ebvpart serve` keeps) built from the same
+// inputs must hold exactly the DistributedGraph's tables.
 TEST(DistributedGraph, LocalIdsNameEveryReplica) {
   // Vertices 1500..1599 are isolated: no edge covers them.
   const Graph base = gen::chung_lu(1500, 12000, 2.2, false, 11);
@@ -195,9 +208,18 @@ TEST(DistributedGraph, LocalIdsNameEveryReplica) {
     for (const EdgePartition& part : {round_robin(g, p), random}) {
       SCOPED_TRACE(testing::Message() << "p=" << p);
       const DistributedGraph dist(g, part);
+      const ReplicaTable table(g, part);
+      ASSERT_EQ(table.num_global_vertices(), dist.num_global_vertices());
+      ASSERT_EQ(table.total_replicas(), dist.total_replicas());
       for (VertexId v = 0; v < g.num_vertices(); ++v) {
         const auto parts = dist.parts_of(v);
         const auto lvs = dist.local_ids_of(v);
+        ASSERT_TRUE(std::ranges::equal(table.parts_of(v), parts)) << "v=" << v;
+        ASSERT_TRUE(std::ranges::equal(table.local_ids_of(v), lvs))
+            << "v=" << v;
+        ASSERT_EQ(table.master_of(v), dist.master_of(v)) << "v=" << v;
+        ASSERT_EQ(table.master_local_of(v), dist.master_local_of(v))
+            << "v=" << v;
         ASSERT_EQ(lvs.size(), parts.size()) << "v=" << v;
         if (parts.empty()) {
           ASSERT_EQ(dist.master_local_of(v), kInvalidVertex) << "v=" << v;

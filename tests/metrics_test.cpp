@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "bsp/replica_table.h"
 #include "graph/generators.h"
 #include "partition/metrics.h"
 
@@ -64,15 +65,22 @@ TEST(Metrics, OutOfRangePartThrows) {
   EXPECT_THROW(compute_metrics(g, bad), std::invalid_argument);
 }
 
+// V_i = the vertices covered by E_i, as the routing table holds them.
 TEST(Metrics, VertexMembershipMatchesDefinition) {
   const Graph g(4, {{0, 1}, {1, 2}, {2, 3}});
   EdgePartition part{2, {0, 1, 0}};
-  const auto member = vertex_membership(g, part);
+  const bsp::ReplicaTable table(g, part);
   // Part 0 covers {0,1} and {2,3}; part 1 covers {1,2}.
-  EXPECT_TRUE(member[0][0] && member[0][1] && member[0][2] && member[0][3]);
-  EXPECT_FALSE(member[1][0]);
-  EXPECT_TRUE(member[1][1] && member[1][2]);
-  EXPECT_FALSE(member[1][3]);
+  using Parts = std::vector<PartitionId>;
+  const auto parts_of = [&](VertexId v) {
+    const auto parts = table.parts_of(v);
+    return Parts(parts.begin(), parts.end());
+  };
+  EXPECT_EQ(parts_of(0), (Parts{0}));
+  EXPECT_EQ(parts_of(1), (Parts{0, 1}));
+  EXPECT_EQ(parts_of(2), (Parts{0, 1}));
+  EXPECT_EQ(parts_of(3), (Parts{0}));
+  EXPECT_EQ(table.total_replicas(), compute_metrics(g, part).total_replicas);
 }
 
 TEST(EdgeCutMetrics, HandComputedTriangle) {

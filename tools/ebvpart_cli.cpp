@@ -524,23 +524,18 @@ int cmd_serve(const ArgMap& args) {
   context.limits.max_run_parts = static_cast<std::uint32_t>(
       get_uint(args, "max-run-parts", "256", kPartsMax));
 
-  // Reclaim leftovers from crashed daemons (their .sock inodes) and
-  // spilled routing builds before creating ours.
+  // Reclaim leftovers from crashed daemons (their .sock inodes) before
+  // creating ours.
   {
     const std::filesystem::path sock(config.socket_path);
     sweep_stale_temp_files(sock.has_parent_path()
                                ? sock.parent_path().string()
                                : std::string("."));
   }
-  const std::string spill_dir =
-      args.count("spill-dir") != 0 ? args.at("spill-dir") : std::string();
-  if (!spill_dir.empty()) sweep_stale_temp_files(spill_dir);
 
   // --mmap a.ebvs[,b.ebvs...] with optional positional --partition
   // p.ebvp[,...] ("-" skips a snapshot). Each pair also builds the
-  // replica/master routing tables (DistributedGraph); --spill-dir routes
-  // that construction through an EBVW worker-spill snapshot so only the
-  // O(|V|) routing tables stay resident.
+  // replica/master routing table (bsp::ReplicaTable) and nothing else.
   const std::vector<std::string> snapshots = split_csv(get(args, "mmap"));
   std::vector<std::string> partitions;
   if (args.count("partition") != 0) {
@@ -550,7 +545,6 @@ int cmd_serve(const ArgMap& args) {
           "--partition lists more files than --mmap has snapshots");
     }
   }
-  std::vector<std::string> spill_files;  // removed after the drain
   context.graphs.reserve(snapshots.size());
   for (std::size_t i = 0; i < snapshots.size(); ++i) {
     MappedGraph mapped = open_mapped(snapshots[i]);
@@ -571,15 +565,7 @@ int cmd_serve(const ArgMap& args) {
           " edges but " + snapshots[i] + " has " +
           std::to_string(entry.mapped.num_edges()));
     }
-    bsp::DistributeOptions opts;
-    if (!spill_dir.empty()) {
-      opts.spill_path =
-          (std::filesystem::path(spill_dir) /
-           ("ebv-workers." + process_unique_suffix() + ".ebvw"))
-              .string();
-      spill_files.push_back(opts.spill_path);
-    }
-    entry.routing.emplace(entry.mapped.view(), partition, opts);
+    entry.routing.emplace(entry.mapped.view(), partition);
     entry.partition.emplace(std::move(partition));
   }
 
@@ -607,10 +593,6 @@ int cmd_serve(const ArgMap& args) {
   // The drain report and the live kMetrics response are the same string
   // (one renderer), so `ebvpart query --op metrics` always matches this.
   std::cout << server.metrics_report();
-  for (const std::string& file : spill_files) {
-    std::error_code ec;
-    std::filesystem::remove(file, ec);
-  }
   return 0;
 }
 
@@ -930,7 +912,7 @@ void print_usage(std::ostream& out) {
          "  serve     --mmap g.ebvs[,h.ebvs...] [--partition p.ebvp[,...]]\n"
          "            [--socket PATH] [--workers N] [--queues S,D,N,L,R]\n"
          "            [--max-sessions N] [--neighbor-limit N]\n"
-         "            [--max-run-parts P] [--spill-dir DIR] [--duration S]\n"
+         "            [--max-run-parts P] [--duration S]\n"
          "            long-lived daemon serving EBVQ queries over a unix\n"
          "            socket; drains gracefully on SIGTERM/SIGINT and\n"
          "            prints a per-class stats table\n"
@@ -962,7 +944,8 @@ void print_usage(std::ostream& out) {
          "computed from those spans; query --op metrics renders a running\n"
          "daemon's live latency + counter registry (same renderer as the\n"
          "drain table).\n"
-         "Flags shown as 0|1 accept exactly 0 or 1.\n"
+         "Flags shown as 0|1 accept exactly 0 or 1; a flag the command\n"
+         "does not take is an error.\n"
          "--failpoints SPEC (any command; or EBV_FAILPOINTS) injects\n"
          "deterministic I/O faults for testing — see docs/CLI.md.\n"
          "Formats: docs/FORMATS.md; full flag reference: docs/CLI.md.\n";
@@ -984,6 +967,7 @@ int main(int argc, char** argv) {
   }
   try {
     const ArgMap args = cli::parse_args(argc, argv, 2);
+    cli::check_flags(command, args);
     // Deterministic fault injection for tests and CI: the EBV_FAILPOINTS
     // environment variable, overridden by --failpoints SPEC (any command).
     failpoint::configure_from_env();
